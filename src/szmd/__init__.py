@@ -43,6 +43,7 @@ from .moments import (
     zeta_sq,
 )
 from .operator import (
+    OperatorOverflow,
     OperatorValue,
     SequenceRule,
     apply,

@@ -89,7 +89,8 @@ def _poisson_deviance(j: np.ndarray, lam: float) -> np.ndarray:
     out = np.empty_like(j)
     near = np.abs(j - lam) < 0.1 * (j + lam)
     jf = j[~near]
-    out[~near] = jf * np.log(jf / lam) + lam - jf
+    with np.errstate(over="ignore"):  # j/lam = inf for a subnormal lam: weight 0
+        out[~near] = jf * np.log(jf / lam) + lam - jf
     jn = j[near]
     v = (jn - lam) / (jn + lam)
     s = (jn - lam) * v

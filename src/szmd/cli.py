@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .basis import DEFAULT_TAIL_EPS, FixedJ, TailEpsilon
 from .moments import central_moment, raw_moment
-from .operator import apply, parse_rule
+from .operator import apply, apply_truncated, parse_rule
 from .report import (
     REFERENCE_NS,
     REFERENCE_XS,
@@ -60,8 +59,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         u = args.u
     else:
         u = parse_rule(args.rule).u_value(args.n)
-    trunc = FixedJ(args.J) if args.J is not None else TailEpsilon(args.eps)
-    op = apply(g, u, args.x, trunc)
+    op = apply(g, u, args.x) if args.J is None else apply_truncated(g, u, args.x, args.J)
     gx = float(np.asarray(g(np.array([args.x])))[0])
     print(f"u = {u:.17g}")
     print(f"operator_value = {op.value:.17g}")
@@ -79,7 +77,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule)
     xs = _parse_grid(args.xs) if args.xs else REFERENCE_XS
     ns = [int(n) for n in _parse_floats(args.ns)] if args.ns else REFERENCE_NS
-    table = make_error_table(g, rule, xs=xs, ns=ns, eps=args.eps)
+    table = make_error_table(g, rule, xs=xs, ns=ns)
     if args.out:
         write_table_csv(table, args.out)
         print(f"wrote {args.out}")
@@ -109,7 +107,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         u_values = rule.values([int(n) for n in _parse_floats(args.ns)])
     xs = _parse_grid(args.xs)
     truncation_js = [int(v) for v in _parse_floats(args.J)] if args.J else None
-    series = make_curves(g, u_values, xs, truncation_js=truncation_js, eps=args.eps)
+    series = make_curves(g, u_values, xs, truncation_js=truncation_js)
     if args.out:
         write_curves_csv(series, args.out)
         print(f"wrote {args.out}")
@@ -190,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="n", help="sequence rule: n, n1.5, n2, explicit:...")
     p.add_argument("--n", type=int, default=1, help="sequence index when --u is absent")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--eps", type=float, default=DEFAULT_TAIL_EPS, help="tail epsilon")
-    p.add_argument("--J", type=int, help="fixed truncation index instead of --eps")
+    p.add_argument("--J", type=int, help="sum the series to this fixed index instead of "
+                   "taking the closed form")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table", help="error table over an (x, n) grid")
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="n")
     p.add_argument("--ns", help="comma list of sequence indices")
     p.add_argument("--xs", help="comma list or start:stop:count grid")
-    p.add_argument("--eps", type=float, default=DEFAULT_TAIL_EPS)
     p.add_argument("--out", help="CSV destination")
     p.add_argument(
         "--paper-check",
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", default="15,35,50")
     p.add_argument("--xs", default="0:2.5:126")
     p.add_argument("--J", help="comma list of fixed truncation indices, one per u")
-    p.add_argument("--eps", type=float, default=DEFAULT_TAIL_EPS)
     p.add_argument("--out", help="CSV destination")
     p.set_defaults(func=_cmd_curve)
 

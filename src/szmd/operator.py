@@ -1,18 +1,26 @@
 """Evaluation of the operator, its truncated variant, and its kernel.
 
 The operator value at (g, u, x) is u * sum_j s_{u,j}(x) * I_j(g) where
-I_j(g) is the inner integral of the basis against g.  Series terms are
-combined in log space so parameters as large as u ~ 1e6 stay accurate, and
-every value ships with the neglected Poisson mass and a computable bound on
-the neglected part of the series.
+I_j(g) is the inner integral of the basis against g.  Mixing the Poisson
+weights over j gives every exp-poly term the closed form
+
+    B(t^m e^{at}; x) = u (u-a)^{-(m+1)} e^{uax/(u-a)} sum_l A_m[l] L^l,
+
+with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
+targets never sum the series.  The series is summed only for the fixed-J
+truncation study and for black boxes, whose inner integrals need quadrature.
+Every value ships with a bound on what its evaluation neglected or rounded.
+The kernel and its distribution function have Bessel and noncentral
+chi-square closed forms.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import chndtr, i0e
 
 from .basis import (
     DEFAULT_TAIL_EPS,
@@ -23,6 +31,7 @@ from .basis import (
     series_cutoff,
     tail_mass,
 )
+from .moments import raw_moment_lambda_coeffs
 from .quadrature import (
     DEFAULT_QUADRATURE,
     DivergentIntegral,
@@ -31,6 +40,14 @@ from .quadrature import (
     log_exppoly_integrals,
 )
 from .targets import BlackBox, TargetFunction, exppoly_terms
+
+_EPS = sys.float_info.epsilon
+_LN_DBL_MAX = math.log(sys.float_info.max)
+
+
+class OperatorOverflow(OverflowError):
+    """The operator value, or a partial sum of its series, lies beyond the
+    double-precision range."""
 
 
 @dataclass(frozen=True)
@@ -111,10 +128,22 @@ def parse_rule(text: str) -> SequenceRule:
 class OperatorValue:
     """Operator value plus an honest account of what was neglected.
 
-    tail_mass is the Poisson weight mass beyond the last series index;
-    tail_bound is that neglected part of the series bounded through a
-    term-wise majorant of g, in the same units as value.  In tail-epsilon
-    mode tail_mass <= eps by construction.
+    Closed form (structured target under TailEpsilon): no series is summed,
+    so series_terms_used = 0 and tail_mass = 0.0; tail_bound is the rounding
+    budget of the log-space evaluation (see _closed_form), never 0 for a
+    nonzero value.
+
+    Series (FixedJ, or any black box): series_terms_used = J + 1 and
+    tail_mass is the Poisson weight mass beyond J, which can be large when
+    J sits below the mode ux.  tail_bound is the closed form of the
+    |g|-majorant minus its partial sum to J, plus the rounding budgets of
+    both, counted once for the majorant and once for the value; it covers
+    the distance from the returned partial sum both to the exact value and
+    to the closed form.  A black box's majorant is C e^{at} with C sampled
+    on a grid, so there tail_bound is an estimate, not a bound.
+
+    inner_integral_error is the summed quadrature error of the black-box
+    inner integrals, 0.0 for structured targets.
     """
 
     value: float
@@ -128,54 +157,111 @@ def _growth_rate(g: TargetFunction) -> float:
     return getattr(g, "growth_rate", 0.0)
 
 
-def _exact_series_value(
-    u: float, x: float, terms, j_last: int
-) -> float:
-    j = np.arange(0, j_last + 1, dtype=np.float64)
-    lw = log_weights(u, x, j)
-    total = 0.0
-    for coeff, m, a in terms:
-        lint = log_exppoly_integrals(u, m, a, j)
-        total += coeff * float(np.sum(np.exp(lw + lint)))
-    return u * total
+def _log_moment_poly(m: int, lam: float) -> float:
+    """ln sum_l A_m[l] lam^l by Horner's rule, in 1/lam once lam > 1 so no
+    power of lam overflows; A_m[0] = m! and A_m[m] = 1 keep the sum >= 1."""
+    coeffs = raw_moment_lambda_coeffs(m)
+    if lam <= 1.0:
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * lam + c
+        return math.log(acc)
+    inv = 1.0 / lam
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * inv + c
+    return m * math.log(lam) + math.log(acc)
 
 
-def _majorant_reach(u: float, x: float, terms) -> int:
-    """Index beyond which every term of the |g|-majorant series is dead."""
-    lam = u * x
-    reach = lam
-    for _, _, a in terms:
-        lam_eff = u * u * x / (u - a) if a > 0.0 else lam
-        reach = max(reach, lam_eff)
-    return int(reach + 12.0 * math.sqrt(reach + 1.0) + 64.0)
+def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
+    """sum_k c_k B(t^m_k e^{a_k t}; x) and its rounding budget.
 
-
-def _majorant_tail(u: float, x: float, terms, j_last: int) -> float:
-    """Bound on |neglected series| = sum_{j>J} u s_{u,j}(x) sum_k |c_k| I_k(j).
-
-    Sums the majorant explicitly out to where its terms have collapsed, then
-    closes with a geometric estimate from the final ratio.
+    Each term is exp of ln|c| + ln u - (m+1) ln(u-a) + uax/(u-a) +
+    ln sum_l A_m[l] L^l, so no intermediate overflows while the sum is
+    finite.  Each part is off by at most 2 eps_mach times its magnitude
+    (uax/(u-a) and L take four roundings, counting that of u - a), the
+    exactly rounded sum of the parts adds half an eps_mach of its own
+    magnitude, and Horner's rule adds 4m eps_mach (L's rounding raised to
+    the m-th power, the powers of 1/L, 2m operations).  exp turns the
+    exponent's absolute error into a relative one, so the budget is
+    eps_mach * sum_k |c_k| B_k * (2.5 * sum of the parts' magnitudes +
+    4(m + 1)).  Raises OperatorOverflow when sum_k |c_k| B_k exceeds the
+    double range.
     """
-    if x == 0.0:
-        return 0.0
-    j_stop = max(_majorant_reach(u, x, terms), j_last + 256)
-    js = np.arange(j_last + 1, j_stop + 1, dtype=np.float64)
-    lw = log_weights(u, x, js)
-    per_j = np.zeros_like(js)
-    for coeff, m, a in terms:
-        lint = log_exppoly_integrals(u, m, a, js)
-        per_j += abs(coeff) * np.exp(lw + lint)
-    total = float(np.sum(per_j))
-    if per_j[-1] > 0.0 and per_j[-2] > 0.0:
-        r = per_j[-1] / per_j[-2]
-        if r < 0.9:
-            total += per_j[-1] * r / (1.0 - r)
-    return u * total
+    logs, signs, conds = [], [], []
+    for c, m, a in terms:
+        if c == 0.0:
+            continue
+        d = u - a
+        parts = (
+            math.log(abs(c)),
+            math.log(u),
+            -(m + 1) * math.log(d),
+            u * a * x / d,
+            _log_moment_poly(m, u * u * x / d),
+        )
+        logs.append(math.fsum(parts))
+        signs.append(math.copysign(1.0, c))
+        conds.append(2.5 * sum(abs(p) for p in parts) + 4.0 * (m + 1))
+    if not logs:
+        return 0.0, 0.0
+    top = max(logs)
+    weights = [math.exp(lg - top) for lg in logs]
+    log_scale = top + math.log(sum(weights))
+    big = math.exp(top) if log_scale <= _LN_DBL_MAX else math.inf
+    value = big * sum(s * w for s, w in zip(signs, weights))
+    if not math.isfinite(value):
+        raise OperatorOverflow(
+            f"operator value overflows: ln sum|c_k| B_k = {log_scale:.6g}"
+        )
+    return value, _EPS * big * sum(w * k for w, k in zip(weights, conds))
+
+
+def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float, float]:
+    """Series cut after j_last for sum_k c_k t^m e^{at}: the value, the same
+    with |c_k| (the majorant), and the majorant's rounding budget.
+
+    A term exp(ln s_j + ln I_j) is off, relative, by at most 2 eps_mach
+    times the summed magnitudes of the parts of its exponent: |ln s_j| and
+    the parts j + ux that cancel inside its Poisson deviance; |ln I_j| and
+    the parts m ln(j+m+1) and (m+1)|ln(u-a)| that can cancel against
+    j ln(u/(u-a)) inside it.  Each term adds m + 4 for its own operations
+    and the pairwise sum log2(J + 1).
+    """
+    j = np.arange(0.0, j_last + 1.0)
+    lw = log_weights(u, x, j)
+    live = np.isfinite(lw)  # drops underflowed weights, and every j > 0 at x = 0
+    j, lw = j[live], lw[live]
+    slack = 2.0 * (np.abs(lw) + j + u * x)
+    value = majorant = budget = 0.0
+    with np.errstate(over="ignore"):
+        for c, m, a in terms:
+            lint = log_exppoly_integrals(u, m, a, j)
+            t = np.exp(lw + lint)
+            s = float(np.sum(t))
+            value += c * s
+            majorant += abs(c) * s
+            cond = slack + 2.0 * (np.abs(lint) + m * np.log(j + m + 1.0)
+                                  + (m + 1) * abs(math.log(u - a)))
+            own = (m + 4 + math.log2(j_last + 1)) * s
+            budget += abs(c) * (float(np.sum(t * cond)) + own)
+    return u * value, u * majorant, _EPS * u * budget
+
+
+def _tail_bound(u: float, x: float, terms, partial: float, partial_budget: float) -> float:
+    """Closed form of the |g|-majorant minus its partial sum, plus both
+    rounding budgets counted twice (majorant and value); inf when the
+    majorant overflows."""
+    try:
+        total, budget = _closed_form(u, x, [(abs(c), m, a) for c, m, a in terms])
+    except OperatorOverflow:
+        return math.inf
+    return max(total - partial, 0.0) + 2.0 * (budget + partial_budget)
 
 
 def _blackbox_majorant_terms(g: BlackBox, u: float, j_last: int):
-    """Envelope C * e^{a t} for a black box, with C sampled on the window the
-    neglected basis terms live on."""
+    """Envelope C * e^{a t} for a black box.  C is sampled on the window the
+    neglected basis terms live on, so it is an estimate, not a bound."""
     a = g.growth_rate
     width = max(u - a, 1e-3)
     t_hi = (j_last + 10.0) / width
@@ -214,8 +300,12 @@ def apply(
 ) -> OperatorValue:
     """Evaluate the operator at a point.
 
-    Structured targets use exact inner integrals; black boxes use quadrature.
-    Raises DivergentIntegral when u does not exceed the target's growth rate.
+    A structured target under TailEpsilon takes the closed form, which needs
+    no eps.  Under FixedJ the series is summed to J with exact inner
+    integrals; a black box sums it to its cutoff with quadrature.
+    Raises DivergentIntegral when u does not exceed the target's growth rate
+    and OperatorOverflow when the value, or the partial sum, is beyond the
+    double range.
     """
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
@@ -225,21 +315,33 @@ def apply(
     if u <= rate:
         raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {rate}")
 
-    j_last = series_cutoff(u, x, trunc)
     terms = exppoly_terms(g)
+    if terms is not None and isinstance(trunc, TailEpsilon):
+        value, budget = _closed_form(u, x, terms)
+        return OperatorValue(
+            value=value,
+            series_terms_used=0,
+            tail_mass=0.0,
+            tail_bound=budget,
+            inner_integral_error=0.0,
+        )
+
+    j_last = series_cutoff(u, x, trunc)
     if terms is not None:
-        value = _exact_series_value(u, x, terms, j_last)
+        value, partial, budget = _partial_sums(u, x, terms, j_last)
         inner_err = 0.0
-        maj_terms = tuple((abs(c), m, a) for c, m, a in terms)
     else:
         value, inner_err = _numeric_series_value(u, x, g, j_last, cfg)
-        maj_terms = _blackbox_majorant_terms(g, u, j_last)
+        terms = _blackbox_majorant_terms(g, u, j_last)
+        _, partial, budget = _partial_sums(u, x, terms, j_last)
+    if not math.isfinite(value):
+        raise OperatorOverflow(f"partial sum to J={j_last} is not finite: {value}")
 
     return OperatorValue(
         value=value,
         series_terms_used=j_last + 1,
         tail_mass=tail_mass(u, x, j_last),
-        tail_bound=_majorant_tail(u, x, maj_terms, j_last),
+        tail_bound=_tail_bound(u, x, terms, partial, budget),
         inner_integral_error=inner_err,
     )
 
@@ -251,7 +353,7 @@ def apply_truncated(
     j_max: int,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> OperatorValue:
-    """Operator with the series cut at a fixed index, no tail guarantee.
+    """Operator with the series cut at a fixed index: the truncation study.
 
     tail_mass reports the actual neglected Poisson mass, which can be large
     when j_max sits below the mode ux.
@@ -259,34 +361,36 @@ def apply_truncated(
     return apply(g, u, x, FixedJ(j_max), cfg)
 
 
-def kernel_value(
-    u: float,
-    x: float,
-    t: float,
-    trunc: TruncationSpec = TailEpsilon(DEFAULT_TAIL_EPS),
-) -> float:
-    """Kernel density u * sum_j s_{u,j}(x) s_{u,j}(t); symmetric in (x, t)."""
+def kernel_value(u: float, x: float, t: float) -> float:
+    """Kernel density u * sum_j s_{u,j}(x) s_{u,j}(t); symmetric in (x, t).
+
+    The sum is u e^{-u(x+t)} I_0(2u sqrt(xt)) (DLMF 10.25.2), evaluated as
+    u exp(-u (x-t)^2 / (sqrt x + sqrt t)^2) i0e(2u sqrt(xt)): the exponent
+    is -u (sqrt x - sqrt t)^2 without cancellation, and every operation is
+    symmetric in (x, t), so swapping them gives the same bits.
+    """
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     if x < 0.0 or t < 0.0:
         raise ValueError("kernel arguments must be >= 0")
-    # take the larger cutoff of the two arguments so symmetry is exact
-    j_last = max(series_cutoff(u, x, trunc), series_cutoff(u, t, trunc))
-    j = np.arange(0, j_last + 1, dtype=np.float64)
-    return u * float(np.sum(np.exp(log_weights(u, x, j) + log_weights(u, t, j))))
+    root_sum = math.sqrt(x) + math.sqrt(t)
+    if root_sum == 0.0:
+        return u
+    gap = u * (x - t) ** 2 / (root_sum * root_sum)
+    return u * math.exp(-gap) * float(i0e(2.0 * u * math.sqrt(x * t)))
 
 
-def kernel_cdf(
-    u: float,
-    x: float,
-    y: float,
-    trunc: TruncationSpec = TailEpsilon(DEFAULT_TAIL_EPS),
-) -> float:
+def kernel_cdf(u: float, x: float, y: float) -> float:
     """Kernel mass on [0, y]: sum_j s_{u,j}(x) P(j+1, u y).
 
     P is the regularized lower incomplete gamma function, the exact integral
-    of u * s_{u,j} over [0, y]; the result is nondecreasing in y and tends
-    to 1 as y grows.
+    of u * s_{u,j} over [0, y].  The Poisson(ux) mixture of Gamma(j+1) laws
+    scaled by 2 is the noncentral chi-square law with 2 degrees of freedom
+    and noncentrality 2ux, so the mass is scipy.special.chndtr(2uy, 2, 2ux).
+    The result is nondecreasing in y and tends to 1 as y grows.  Once
+    ux >= ~100, chndtr returns 0 for masses below ~1e-44 (2.5e-45 at
+    ux = 100, uy = 0.024), so a small value carries an absolute error of up
+    to that size rather than a relative one.
     """
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
@@ -294,7 +398,4 @@ def kernel_cdf(
         raise ValueError("kernel arguments must be >= 0")
     if y == 0.0:
         return 0.0
-    j_last = series_cutoff(u, x, trunc)
-    j = np.arange(0, j_last + 1, dtype=np.float64)
-    w = np.exp(log_weights(u, x, j))
-    return float(np.sum(w * gammainc(j + 1.0, u * y)))
+    return float(chndtr(2.0 * u * y, 2.0, 2.0 * u * x))

@@ -128,9 +128,12 @@ def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarr
     """Vectorized ln of the exppoly integral for an index array.
 
     Written with small-magnitude pieces only: the j! ratio becomes
-    sum_i ln(j+i) and the u^j/(u-a)^j ratio becomes -j*log1p(-a/u), which
+    sum_i ln(j+i) and the u^j/(u-a)^j ratio becomes j*ln(u/(u-a)), which
     preserves ~1e-15 absolute accuracy even at j ~ 1e6 where lgamma
-    differences lose ~1e-8.
+    differences lose ~1e-8.  ln(u/(u-a)) is log1p(a/(u-a)) for a > 0 and
+    -log1p(-a/u) otherwise, so log1p scales the rounding of its argument by
+    a/u or |a|/(u+|a|), both <= 1; -log1p(-a/u) for a near u would
+    amplify it by u/(u-a).
     """
     if u <= a:
         raise DivergentIntegral(f"integral diverges: u={u} <= rate a={a}")
@@ -138,7 +141,8 @@ def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarr
     out = np.zeros_like(j)
     for i in range(1, m + 1):
         out += np.log(j + i)
-    out += -j * np.log1p(-a / u) - (m + 1) * math.log(u - a)
+    log_ratio = math.log1p(a / (u - a)) if a > 0.0 else -math.log1p(-a / u)
+    out += j * log_ratio - (m + 1) * math.log(u - a)
     return out
 
 

@@ -25,7 +25,7 @@ from .moments import (
     raw_moment,
     zeta_sq,
 )
-from .operator import SequenceRule, apply, apply_truncated, kernel_cdf
+from .operator import OperatorOverflow, SequenceRule, apply, apply_truncated, kernel_cdf
 from .quadrature import DEFAULT_QUADRATURE, DivergentIntegral, QuadratureConfig
 from .targets import (
     BUILTIN_TARGETS,
@@ -117,8 +117,9 @@ def make_error_table(
 ) -> ErrorTable:
     """Fill the (x, n) error grid for a target under a parameter rule.
 
-    Cells where the operator diverges (u_n not above the growth rate) are
-    kept in place with NaN values and an explanatory message instead of
+    Cells where the operator diverges (u_n not above the growth rate) or
+    overflows the double range are kept in place with NaN values and an
+    explanatory message, headed "divergent" or "overflow", instead of
     aborting the whole table.
     """
     xs = tuple(float(x) for x in xs)
@@ -134,9 +135,10 @@ def make_error_table(
                 cells.append(
                     TableCell(x, n, u, op.value, gx, abs(op.value - gx))
                 )
-            except DivergentIntegral as exc:
+            except (DivergentIntegral, OperatorOverflow) as exc:
+                status = "overflow" if isinstance(exc, OperatorOverflow) else "divergent"
                 cells.append(
-                    TableCell(x, n, u, math.nan, gx, math.nan, error=str(exc))
+                    TableCell(x, n, u, math.nan, gx, math.nan, error=f"{status}: {exc}")
                 )
     return ErrorTable(target_label(g), rule, xs, ns, tuple(cells))
 
@@ -235,7 +237,7 @@ def format_table_pretty(table: ErrorTable) -> str:
         row = [f"{x:g}"]
         for n in table.ns:
             c = table.cell(x, n)
-            row.append("divergent" if c.error else f"{c.abs_error:.6g}")
+            row.append(c.error.partition(":")[0] if c.error else f"{c.abs_error:.6g}")
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for r in rows:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from szmd import operator
 from szmd.basis import TailEpsilon
 from szmd.operator import (
+    OperatorOverflow,
     SequenceRule,
     apply,
     apply_truncated,
@@ -14,7 +16,7 @@ from szmd.operator import (
     kernel_value,
     parse_rule,
 )
-from szmd.quadrature import DivergentIntegral
+from szmd.quadrature import DivergentIntegral, QuadratureResult
 from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum
 
 ONE = BUILTIN_TARGETS["one"]
@@ -76,9 +78,9 @@ class TestApply:
     def test_x_zero_single_term(self):
         # at the origin only j = 0 contributes
         op = apply(X2E2X, 10.0, 0.0)
-        assert op.series_terms_used == 1
         want = 10.0 * 2.0 / 8.0**3  # u * exact integral at j=0, m=2, a=2
         np.testing.assert_allclose(op.value, want, rtol=1e-13)
+        assert apply_truncated(X2E2X, 10.0, 0.0, 0).series_terms_used == 1
 
     def test_tail_mass_respects_eps(self):
         for eps in (1e-10, 1e-14):
@@ -92,6 +94,49 @@ class TestApply:
         a = apply(X2E2X, 20.0, 0.8).value
         b = apply(g_bb, 20.0, 0.8).value
         np.testing.assert_allclose(b, a, rtol=1e-9)
+
+
+class TestClosedForm:
+    def test_reports_no_series(self):
+        op = apply(NEGX3E5X, 50.0, 1.0)
+        assert op.series_terms_used == 0 and op.tail_mass == 0.0
+        assert 0.0 < op.tail_bound <= 1e-13 * abs(op.value)
+
+    def test_sums_no_series(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a series was summed")
+
+        for name in ("log_weights", "series_cutoff", "tail_mass"):
+            monkeypatch.setattr(operator, name, refuse)
+        apply(X2E2X, 1e6, 2.5)
+        kernel_value(1e6, 1.0, 1.001)
+        kernel_cdf(1e6, 1.0, 1.001)
+
+
+class TestOverflow:
+    def test_closed_form_overflow_is_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflow):
+                apply(X2E2X, 3.0, 300.0)
+
+    def test_fixed_j_partial_sum_overflow_is_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflow):
+                apply_truncated(X2E2X, 3.0, 300.0, 3000)
+
+    def test_blackbox_partial_sum_overflow_is_typed(self, monkeypatch):
+        # every inner integral is finite; u times their weighted sum is not
+        monkeypatch.setattr(operator, "basis_integral",
+                            lambda u, j, g, cfg: QuadratureResult(1e308, 0.0))
+        g = BlackBox(lambda t: 1.0, growth_rate=0.0)
+        with pytest.raises(OperatorOverflow):
+            apply(g, 10.0, 1.0)
+
+    def test_majorant_overflow_leaves_an_infinite_tail_bound(self):
+        op = apply_truncated(X2E2X, 3.0, 300.0, 10)
+        assert math.isfinite(op.value) and op.tail_bound == math.inf
 
 
 class TestApplyTruncated:

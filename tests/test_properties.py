@@ -1,0 +1,213 @@
+"""Properties of the operator, its kernel and the kernel CDF over random
+exp-poly targets and regimes.
+
+Values are checked against 40-digit mpmath references that do not share the
+closed form under test: the operator's series summed as a Kummer function,
+the kernel as a Bessel function, the kernel CDF as its incomplete-gamma
+series.  The hypothesis profile in conftest.py keeps the examples fixed.
+"""
+import math
+import sys
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import gammainc
+
+from szmd.operator import (
+    OperatorOverflow,
+    apply,
+    apply_truncated,
+    kernel_cdf,
+    kernel_value,
+)
+from szmd.targets import BUILTIN_TARGETS, ExpPolySum, MonomialSum
+
+EPS = sys.float_info.epsilon
+LN_DBL_MAX = math.log(sys.float_info.max)
+X2E2X = BUILTIN_TARGETS["x2e2x"]
+
+
+def kummer_oracle(u, x, m, a):
+    """B(t^m e^{at}; x) = u m! (u-a)^{-(m+1)} e^{-ux} 1F1(m+1; 1; u^2 x/(u-a)),
+    the Poisson series summed as a Kummer function at 40 digits."""
+    with mp.workdps(40):
+        u, x, a = mp.mpf(u), mp.mpf(x), mp.mpf(a)
+        d = u - a
+        return +(u * mp.factorial(m) * d ** -(m + 1) * mp.exp(-u * x)
+                 * mp.hyp1f1(m + 1, 1, u * u * x / d))
+
+
+def oracle(terms, u, x):
+    """(sum_k c_k B_k, sum_k |c_k| B_k) at 40 digits."""
+    with mp.workdps(40):
+        parts = [(c, kummer_oracle(u, x, m, a)) for c, m, a in terms]
+        return mp.fsum(c * b for c, b in parts), mp.fsum(abs(c) * b for c, b in parts)
+
+
+def apply_or_skip(terms, u, x):
+    """apply, with examples whose value overflows left out."""
+    try:
+        return apply(ExpPolySum(terms), u, x)
+    except OperatorOverflow:
+        assume(False)
+
+
+def uniform(lo, hi):
+    # hypothesis favours simple floats such as 0 and 1 within a range;
+    # scaling a draw from [0, 1] spreads the examples over the whole range
+    return st.floats(0.0, 1.0).map(lambda f: lo + (hi - lo) * f)
+
+
+def log_uniform(lo, hi):
+    return uniform(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+coeffs = st.builds(lambda sign, c: sign * c, st.sampled_from((-1.0, 1.0)),
+                   uniform(0.1, 3.0))
+rates = uniform(-5.0, 3.0)
+exppoly = st.lists(st.tuples(coeffs, st.integers(0, 4), rates),
+                   min_size=1, max_size=3).map(tuple)
+points = uniform(0.0, 2.5)
+deviations = uniform(-6.0, 6.0)
+
+
+@st.composite
+def regimes(draw, targets=exppoly, max_u=1e6):
+    """(terms, u, x) with u in (rate + 0.01, max_u], log-uniform above the rate."""
+    terms = draw(targets)
+    rate = max(max(a for _, _, a in terms), 0.0)
+    u = min(rate + draw(log_uniform(0.01, max_u)), max_u)
+    return terms, u, draw(points)
+
+
+def near(u, x, z):
+    """A point z standard deviations of the kernel away from x, clipped at 0."""
+    return max(x + z * math.sqrt((x + 1.0 / u) / u), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the operator
+
+
+def test_near_edge_growing_target():
+    # u just above the growth rate 2: the series lives at L = 404, far past
+    # the Poisson mode ux = 2.01
+    op = apply(X2E2X, 2.01, 1.0)
+    assert abs(op.value - kummer_oracle(2.01, 1.0, 2, 2.0)) <= op.tail_bound
+    np.testing.assert_allclose(op.value, 1.28e186, rtol=1e-2)
+
+
+def test_growing_target_at_large_x():
+    op = apply(X2E2X, 10.0, 2.5)
+    np.testing.assert_allclose(op.value, 11165.225152794086, rtol=1e-13)
+
+
+@given(regimes())
+def test_matches_the_oracle_within_tail_bound(case):
+    terms, u, x = case
+    want, scale = oracle(terms, u, x)
+    log_scale = float(mp.log(scale))
+    assume(abs(log_scale - LN_DBL_MAX) > 1e-9)
+    if log_scale > LN_DBL_MAX:
+        with pytest.raises(OperatorOverflow):
+            apply(ExpPolySum(terms), u, x)
+        return
+    op = apply(ExpPolySum(terms), u, x)
+    assert abs(op.value - want) <= op.tail_bound
+
+
+@given(regimes(), uniform(-3.0, 3.0))
+def test_linearity(case, beta):
+    terms, u, x = case
+    head, rest = terms[:1], terms[1:] or ((1.0, 0, 0.0),)
+    whole = apply_or_skip(head + tuple((beta * c, m, a) for c, m, a in rest), u, x)
+    f = apply_or_skip(head, u, x)
+    h = apply_or_skip(rest, u, x)
+    # the second |beta| h.tail_bound covers the rounding of beta * c
+    tol = (whole.tail_bound + f.tail_bound + 2.0 * abs(beta) * h.tail_bound
+           + 2.0 * EPS * (abs(f.value) + abs(beta * h.value)))
+    assert abs(whole.value - (f.value + beta * h.value)) <= tol
+
+
+@given(log_uniform(0.01, 1e6), points)
+def test_constants_and_first_moment(u, x):
+    one = apply(MonomialSum(((1.0, 0),)), u, x)
+    assert abs(one.value - 1.0) <= one.tail_bound
+    first = apply(MonomialSum(((1.0, 1),)), u, x)
+    assert abs(first.value - (mp.mpf(x) + 1 / mp.mpf(u))) <= first.tail_bound
+
+
+@given(regimes(targets=st.tuples(uniform(0.1, 3.0), points, rates).map(
+    lambda cba: ((cba[0], 2, cba[2]), (-2.0 * cba[0] * cba[1], 1, cba[2]),
+                 (cba[0] * cba[1] ** 2, 0, cba[2])))))
+def test_positivity(case):
+    # c (t - b)^2 e^{at} >= 0, written as three terms that cancel near t = b
+    terms, u, x = case
+    op = apply_or_skip(terms, u, x)
+    assert op.value >= -op.tail_bound
+
+
+@settings(max_examples=30)
+@given(regimes(max_u=1e4))
+def test_partial_sum_far_past_the_mode_matches(case):
+    # the series summed term by term, not the closed form, on the right;
+    # u stays <= 1e4 because the sum costs O(u^2 x / (u - a)) terms
+    terms, u, x = case
+    reach = max(u * u * x / (u - a) for _, _, a in terms)
+    j_max = int(reach + 40.0 * math.sqrt(reach) + 50.0)
+    full = apply_or_skip(terms, u, x)
+    trunc = apply_truncated(ExpPolySum(terms), u, x, j_max)
+    assert abs(full.value - trunc.value) <= trunc.tail_bound
+
+
+# ---------------------------------------------------------------------------
+# the kernel and its CDF
+
+
+@given(log_uniform(0.01, 1e6), points, points)
+def test_kernel_symmetry_is_bitwise(u, x, t):
+    assert kernel_value(u, x, t) == kernel_value(u, t, x)
+
+
+@given(log_uniform(0.01, 1e6), points, deviations)
+def test_kernel_matches_bessel(u, x, z):
+    t = near(u, x, z)
+    with mp.workdps(40):
+        mu, mx, mt = mp.mpf(u), mp.mpf(x), mp.mpf(t)
+        want = mu * mp.besseli(0, 2 * mu * mp.sqrt(mx * mt)) * mp.exp(-mu * (mx + mt))
+    assert abs(kernel_value(u, x, t) - want) <= 1e-13 * want
+
+
+@given(log_uniform(0.01, 1e6), points, deviations, deviations)
+def test_kernel_cdf_is_monotone(u, x, z1, z2):
+    lo, hi = sorted((near(u, x, z1), near(u, x, z2)))
+    assert kernel_cdf(u, x, lo) <= kernel_cdf(u, x, hi)
+
+
+def cdf_series(u, x, y):
+    """sum_j s_{u,j}(x) P(j+1, uy) out to 40 standard deviations past the
+    mode; the Poisson weights step out from a 40-digit weight at the mode,
+    which keeps them ~1e-14 accurate where exp(j ln(ux) - ux - ln j!)
+    loses ~ux * eps_mach."""
+    lam = u * x
+    if lam == 0.0:
+        return float(gammainc(1.0, u * y))
+    mode = int(lam)
+    hi = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    with mp.workdps(40):
+        w_mode = float(mp.exp(mode * mp.log(lam) - lam - mp.loggamma(mode + 1)))
+    down = w_mode * np.cumprod(np.arange(mode, 0.0, -1.0) / lam)[::-1]
+    up = w_mode * np.cumprod(lam / np.arange(mode + 1.0, hi + 1.0))
+    w = np.concatenate([down, [w_mode], up])
+    return math.fsum(w * gammainc(np.arange(0.0, hi + 1.0) + 1.0, u * y))
+
+
+@given(log_uniform(0.01, 400.0), points, deviations)
+def test_kernel_cdf_matches_the_incomplete_gamma_series(u, x, z):
+    y = near(u, x, z)
+    want = cdf_series(u, x, y)
+    assume(want >= 1e-30)
+    assert abs(kernel_cdf(u, x, y) - want) <= 1e-12 * want

@@ -64,6 +64,16 @@ class TestErrorTable:
         assert bad.error is not None and math.isnan(bad.abs_error)
         assert good.error is None and math.isfinite(good.abs_error)
 
+    def test_overflowing_cells_are_flagged_not_fatal(self):
+        t = make_error_table(
+            X2E2X, SequenceRule.from_explicit([3.0]), xs=(1.0, 300.0), ns=(1,)
+        )
+        bad = t.cell(300.0, 1)
+        good = t.cell(1.0, 1)
+        assert bad.error.startswith("overflow") and math.isnan(bad.abs_error)
+        assert good.error is None and math.isfinite(good.abs_error)
+        assert "overflow" in format_table_pretty(t)
+
     def test_u_column_strictly_increasing(self):
         t = make_error_table(X2E2X, SequenceRule.from_power(1.5), xs=(1.0,), ns=(10, 50, 100))
         us = [c.u for c in t.cells]

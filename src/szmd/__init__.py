@@ -2,14 +2,7 @@
 sequence: numerically stable evaluation, exact moment theory, error-bound
 calculators, and reproduction of the reference convergence tables."""
 
-from .basis import (
-    DEFAULT_TAIL_EPS,
-    FixedJ,
-    TailEpsilon,
-    TruncationSpec,
-    szasz_weight,
-    truncation_index,
-)
+from .basis import szasz_weight, truncation_index
 from .bounds import (
     BoundCheck,
     DbvBound,
@@ -52,16 +45,7 @@ from .operator import (
     kernel_value,
     parse_rule,
 )
-from .quadrature import (
-    ConvergenceFailure,
-    DivergentIntegral,
-    QuadratureConfig,
-    QuadratureResult,
-    basis_integral,
-    exact_basis_integral_exppoly,
-    exact_basis_integral_monomial,
-    numeric_basis_integral,
-)
+from .quadrature import ConvergenceFailure, DivergentIntegral
 from .report import (
     CheckResult,
     CurveSeries,

@@ -8,41 +8,11 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-#: Default tail mass allowed when truncating the series over j.
-DEFAULT_TAIL_EPS = 1e-14
-
 _LN_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class TailEpsilon:
-    """Truncate the series once the neglected Poisson tail mass is <= eps."""
-
-    eps: float = DEFAULT_TAIL_EPS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-
-@dataclass(frozen=True)
-class FixedJ:
-    """Truncate the series at a fixed last index J, with no tail guarantee."""
-
-    j_max: int
-
-    def __post_init__(self) -> None:
-        if self.j_max < 0:
-            raise ValueError(f"J must be >= 0, got {self.j_max}")
-
-
-TruncationSpec = Union[TailEpsilon, FixedJ]
 
 
 def _validate_point(u: float, j: int, x: float) -> None:
@@ -110,9 +80,14 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
     """Vectorized ln s_{u,j}(x) for an integer index array.
 
     Uses the saddle-point form -stirlerr(j) - dev(j, ux) - ln(2*pi*j)/2,
-    which keeps absolute log accuracy near 1e-14 even at ux ~ 1e6, where
-    the direct j*ln(ux) - ux - lgamma(j+1) form loses ~1e-8.  Entries with
-    j = 0 get exactly -ux; at x = 0 only j = 0 carries weight.
+    which avoids the direct j*ln(ux) - ux - lgamma(j+1) form's loss of
+    ~1e-8 at ux ~ 1e6.  Near the mode (|j - ux| < 0.1 (j + ux)) the
+    deviance is a series without cancellation; away from it
+    j*ln(j/ux) + ux - j cancels parts of size j + ux, so the absolute log
+    error grows as ~eps_mach (j + ux): measured against 40-digit mpmath,
+    1.9e-12 at ux = 1e4, j = 12408 and 6.8e-12 at ux = 3e4, j = 37233.
+    At ux = 1e4 the far branch holds only weights below ~e^-180.  Entries
+    with j = 0 get exactly -ux; at x = 0 only j = 0 carries weight.
     """
     if u <= 0.0:
         raise ValueError(f"basis parameter u must be positive, got {u}")
@@ -175,11 +150,3 @@ def truncation_index(u: float, x: float, eps: float) -> int:
             lo = mid
     return hi
 
-
-def series_cutoff(u: float, x: float, trunc: TruncationSpec) -> int:
-    """Last series index for a truncation policy."""
-    if isinstance(trunc, TailEpsilon):
-        return truncation_index(u, x, trunc.eps)
-    if isinstance(trunc, FixedJ):
-        return trunc.j_max
-    raise TypeError(f"unsupported truncation spec: {trunc!r}")

@@ -13,10 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import TailEpsilon, TruncationSpec
 from .moments import central_moment, zeta, zeta_sq
 from .operator import apply
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .targets import TargetFunction
 
 
@@ -144,11 +142,9 @@ def lipschitz_bound_check(
     domain=None,
     step=None,
     tol: float = 1e-9,
-    trunc: TruncationSpec = TailEpsilon(),
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BoundCheck:
     """Check |B(g;x) - g(x)| <= tau_s(g,x) * (second central moment)^{s/2}."""
-    op = apply(g, u, x, trunc, cfg)
+    op = apply(g, u, x)
     gx = float(_grid_values(g, np.array([x]))[0])
     lhs = abs(op.value - gx)
     rhs = lipschitz_maximal(g, s, x, domain=domain, step=step) * central_moment(
@@ -327,27 +323,19 @@ def dbv_empirical_check(
     u: float,
     x: float,
     tol: float = 1e-9,
-    trunc: TruncationSpec = TailEpsilon(),
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> DbvCheck:
     """Compare the realized error |B(g;x) - g(x)| with the variation bound."""
-    op = apply(spec.g, u, x, trunc, cfg)
+    op = apply(spec.g, u, x)
     gx = float(_grid_values(spec.g, np.array([x]))[0])
     lhs = abs(op.value - gx)
     bound = dbv_bound(spec, u, x)
     return DbvCheck(lhs, bound, lhs <= bound.total + tol)
 
 
-def korovkin_sup_error(
-    g: TargetFunction,
-    u: float,
-    x_grid,
-    trunc: TruncationSpec = TailEpsilon(),
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def korovkin_sup_error(g: TargetFunction, u: float, x_grid) -> float:
     """sup over the grid of |B(g;x) - g(x)|, the quantity whose decay in u
     certifies uniform convergence on compacts."""
     xs = np.asarray(x_grid, dtype=np.float64)
     gvals = _grid_values(g, xs)
-    errs = [abs(apply(g, u, float(x), trunc, cfg).value - gv) for x, gv in zip(xs, gvals)]
+    errs = [abs(apply(g, u, float(x)).value - gv) for x, gv in zip(xs, gvals)]
     return float(max(errs))

@@ -2,8 +2,10 @@
 
 Subcommands: eval (single operator value), table (error tables), curve
 (figure data), moments (raw/central moment dumps), bounds (error-bound
-calculators), verify (the full cross-check suite).  Exit status is nonzero
-when --paper-check or verify finds violations.
+calculators), verify (the full cross-check suite).  Exit status is 1 when
+--paper-check or verify finds violations, and 2 when the operator refuses a
+value (divergent, overflowing or unconverged), with one line
+"szmd: error: <message>" on stderr.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .moments import central_moment, raw_moment
-from .operator import apply, apply_truncated, parse_rule
+from .operator import OperatorOverflow, apply, apply_truncated, parse_rule
+from .quadrature import ConvergenceFailure, DivergentIntegral
 from .report import (
     REFERENCE_NS,
     REFERENCE_XS,
@@ -245,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DivergentIntegral, OperatorOverflow, ConvergenceFailure) as exc:
+        print(f"szmd: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,47 +7,38 @@ weights over j gives every exp-poly term the closed form
     B(t^m e^{at}; x) = u (u-a)^{-(m+1)} e^{uax/(u-a)} sum_l A_m[l] L^l,
 
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
-targets never sum the series.  The series is summed only for the fixed-J
-truncation study and for black boxes, whose inner integrals need quadrature.
-Every value ships with a bound on what its evaluation neglected or rounded.
-The kernel and its distribution function have Bessel and noncentral
-chi-square closed forms.
+targets never sum the series.  The same sum is the kernel integral
+B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
+whose Bessel closed form lets a black box be integrated against it by one
+adaptive quadrature.  The series is summed only for the fixed-J truncation
+study.  Every value ships with a bound on what its evaluation neglected or
+rounded.  The kernel's distribution function has a noncentral chi-square
+closed form.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import chndtr, i0e
 
-from .basis import (
-    DEFAULT_TAIL_EPS,
-    FixedJ,
-    TailEpsilon,
-    TruncationSpec,
-    log_weights,
-    series_cutoff,
-    tail_mass,
-)
+from .basis import log_weights, tail_mass
 from .moments import raw_moment_lambda_coeffs
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    DivergentIntegral,
-    QuadratureConfig,
-    basis_integral,
-    log_exppoly_integrals,
-)
+from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import BlackBox, TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
 _LN_DBL_MAX = math.log(sys.float_info.max)
+_LN_TINY = math.log(sys.float_info.min * _EPS)  # the smallest subnormal
+_TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
 
 
 class OperatorOverflow(OverflowError):
-    """The operator value, or a partial sum of its series, lies beyond the
-    double-precision range."""
+    """The operator value, a partial sum of its series, or a black box
+    inside its integration window lies beyond the double-precision range."""
 
 
 @dataclass(frozen=True)
@@ -128,22 +119,23 @@ def parse_rule(text: str) -> SequenceRule:
 class OperatorValue:
     """Operator value plus an honest account of what was neglected.
 
-    Closed form (structured target under TailEpsilon): no series is summed,
-    so series_terms_used = 0 and tail_mass = 0.0; tail_bound is the rounding
-    budget of the log-space evaluation (see _closed_form), never 0 for a
-    nonzero value.
+    apply: no series is summed, so series_terms_used = 0 and tail_mass =
+    0.0.  For a structured target tail_bound is the rounding budget of the
+    log-space closed form (see _closed_form), never 0 for a nonzero value;
+    for a black box it is 0.0 and inner_integral_error is the error
+    estimate of its kernel integral.
 
-    Series (FixedJ, or any black box): series_terms_used = J + 1 and
-    tail_mass is the Poisson weight mass beyond J, which can be large when
-    J sits below the mode ux.  tail_bound is the closed form of the
+    apply_truncated: series_terms_used = J + 1 and tail_mass is the Poisson
+    weight mass beyond J, which can be large when J sits below the mode ux.
+    tail_bound covers the distance from the returned value to the exact
+    operator value.  For a structured target it is the closed form of the
     |g|-majorant minus its partial sum to J, plus the rounding budgets of
-    both, counted once for the majorant and once for the value; it covers
-    the distance from the returned partial sum both to the exact value and
-    to the closed form.  A black box's majorant is C e^{at} with C sampled
-    on a grid, so there tail_bound is an estimate, not a bound.
+    both, counted once for the majorant and once for the value, so it also
+    covers the distance to the closed form.  For a black box it is the
+    integral of |g| against the full kernel minus that against the
+    truncated one, plus both error estimates.
 
-    inner_integral_error is the summed quadrature error of the black-box
-    inner integrals, 0.0 for structured targets.
+    inner_integral_error is 0.0 for structured targets.
     """
 
     value: float
@@ -151,10 +143,6 @@ class OperatorValue:
     tail_mass: float
     tail_bound: float
     inner_integral_error: float
-
-
-def _growth_rate(g: TargetFunction) -> float:
-    return getattr(g, "growth_rate", 0.0)
 
 
 def _log_moment_poly(m: int, lam: float) -> float:
@@ -259,106 +247,119 @@ def _tail_bound(u: float, x: float, terms, partial: float, partial_budget: float
     return max(total - partial, 0.0) + 2.0 * (budget + partial_budget)
 
 
-def _blackbox_majorant_terms(g: BlackBox, u: float, j_last: int):
-    """Envelope C * e^{a t} for a black box.  C is sampled on the window the
-    neglected basis terms live on, so it is an estimate, not a bound."""
-    a = g.growth_rate
-    width = max(u - a, 1e-3)
-    t_hi = (j_last + 10.0) / width
-    ts = np.linspace(0.0, max(t_hi, 1.0), 257)
-    vals = np.abs(np.asarray(g(ts), dtype=np.float64)) * np.exp(-a * ts)
-    c = float(np.max(vals))
-    return ((c, 0, a),)
+def _blackbox_window(g: BlackBox, u: float, x: float) -> tuple[float, float, list[float]]:
+    """Range [lo, hi] and break points for the integral of K(x,t) g(t).
 
-
-def _numeric_series_value(
-    u: float, x: float, g: TargetFunction, j_last: int, cfg: QuadratureConfig
-) -> tuple[float, float]:
-    j = np.arange(0, j_last + 1, dtype=np.float64)
-    lw = log_weights(u, x, j)
-    keep = lw > -50.0
-    total = 0.0
-    err = 0.0
-    largest = 0.0
-    for idx in np.nonzero(keep)[0]:
-        res = basis_integral(u, int(idx), g, cfg)
-        w = math.exp(lw[idx])
-        total += w * res.value
-        err += w * abs(res.error)
-        largest = max(largest, abs(res.value))
-    dropped = float(np.sum(np.exp(lw[~keep]))) if np.any(~keep) else 0.0
-    err += dropped * largest
-    return u * total, u * err
-
-
-def apply(
-    g: TargetFunction,
-    u: float,
-    x: float,
-    trunc: TruncationSpec = TailEpsilon(DEFAULT_TAIL_EPS),
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> OperatorValue:
-    """Evaluate the operator at a point.
-
-    A structured target under TailEpsilon takes the closed form, which needs
-    no eps.  Under FixedJ the series is summed to J with exact inner
-    integrals; a black box sums it to its cutoff with quadrature.
-    Raises DivergentIntegral when u does not exceed the target's growth rate
-    and OperatorOverflow when the value, or the partial sum, is beyond the
-    double range.
+    K(x,t) <= u e^{-u(sqrt t - sqrt x)^2} because i0e <= 1, so below lo
+    (< x) the kernel is under the smallest subnormal, where a target with
+    |g| <= C e^{at} is at most C e^{max(a, 0) x}.  With c = u^2 x/(u-a)^2
+    the tilted kernel is
+    K(x,t) e^{at} = u e^{uax/(u-a)} e^{-(u-a)(sqrt t - sqrt c)^2} i0e(2u sqrt(xt)),
+    and past hi, where (u-a)(sqrt t - sqrt c)^2 = 50, it carries at most
+    e^{-50} (1 + sqrt(L/50)), L = u^2 x/(u-a), of its total mass
+    B(e^{at}; x) (4e-20 at u = 1e6, x = 2.5).  The tilt's underflow would
+    reach t where g overflows: at u = 2.5, x = 1, t^2 e^{2t} overflows at
+    t = 349, its mass lies near c = 25, and e^{-745} of its peak is at
+    t = 1900.  The break points are x, c, c +- 12 sqrt((c + 1/u)/(u-a)) and
+    the declared kinks.
     """
+    a = g.growth_rate
+    d = u - a
+    lo = max(math.sqrt(x) - math.sqrt((math.log(u) - _LN_TINY) / u), 0.0) ** 2
+    c = u * u * x / (d * d)
+    hi = max((math.sqrt(c) + math.sqrt(_TILT_CUT / d)) ** 2, lo)
+    w = 12.0 * math.sqrt((c + 1.0 / u) / d)
+    points = sorted({p for p in (x, c, c - w, c + w, *g.kinks) if lo < p < hi})
+    return lo, hi, points
+
+
+def _blackbox_integral(g: BlackBox, u: float, x: float, kernel) -> tuple[float, float]:
+    """Integral of kernel(t) g(t) over the window of K(x,t) g(t), and its
+    error estimate; OperatorOverflow when g or the integral overflows."""
+    try:
+        return kernel_integral(kernel, g, *_blackbox_window(g, u, x))
+    except OverflowError as exc:
+        raise OperatorOverflow(
+            f"black-box integral overflows (u={u}, x={x}): {exc}"
+        ) from exc
+
+
+def _check_domain(g: TargetFunction, u: float, x: float) -> None:
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
-    rate = _growth_rate(g)
+    rate = getattr(g, "growth_rate", 0.0)
     if u <= rate:
         raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {rate}")
 
+
+def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
+    """Evaluate the operator at a point.
+
+    A structured target takes the closed form; a black box is one adaptive
+    quadrature of K(x,t) g(t).  Raises DivergentIntegral when u does not
+    exceed the target's growth rate, OperatorOverflow when the value, or a
+    black box inside its integration window, is beyond the double range,
+    and ConvergenceFailure when a black box is not finite there or its
+    integral does not converge.
+    """
+    _check_domain(g, u, x)
     terms = exppoly_terms(g)
-    if terms is not None and isinstance(trunc, TailEpsilon):
-        value, budget = _closed_form(u, x, terms)
-        return OperatorValue(
-            value=value,
-            series_terms_used=0,
-            tail_mass=0.0,
-            tail_bound=budget,
-            inner_integral_error=0.0,
-        )
-
-    j_last = series_cutoff(u, x, trunc)
-    if terms is not None:
-        value, partial, budget = _partial_sums(u, x, terms, j_last)
-        inner_err = 0.0
+    if terms is None:
+        value, inner_err = _blackbox_integral(g, u, x, partial(kernel_value, u, x))
+        budget = 0.0
     else:
-        value, inner_err = _numeric_series_value(u, x, g, j_last, cfg)
-        terms = _blackbox_majorant_terms(g, u, j_last)
-        _, partial, budget = _partial_sums(u, x, terms, j_last)
-    if not math.isfinite(value):
-        raise OperatorOverflow(f"partial sum to J={j_last} is not finite: {value}")
-
+        value, budget = _closed_form(u, x, terms)
+        inner_err = 0.0
     return OperatorValue(
         value=value,
-        series_terms_used=j_last + 1,
-        tail_mass=tail_mass(u, x, j_last),
-        tail_bound=_tail_bound(u, x, terms, partial, budget),
+        series_terms_used=0,
+        tail_mass=0.0,
+        tail_bound=budget,
         inner_integral_error=inner_err,
     )
 
 
-def apply_truncated(
-    g: TargetFunction,
-    u: float,
-    x: float,
-    j_max: int,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> OperatorValue:
-    """Operator with the series cut at a fixed index: the truncation study.
+def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> OperatorValue:
+    """Operator with the series cut after index j_max: the truncation study.
 
+    A structured target sums the series with exact inner integrals; a black
+    box is integrated against the truncated kernel u sum_{j<=J} s_j(x) s_j(t).
     tail_mass reports the actual neglected Poisson mass, which can be large
     when j_max sits below the mode ux.
     """
-    return apply(g, u, x, FixedJ(j_max), cfg)
+    _check_domain(g, u, x)
+    if j_max < 0:
+        raise ValueError(f"J must be >= 0, got {j_max}")
+    terms = exppoly_terms(g)
+    if terms is None:
+        j = np.arange(0.0, j_max + 1.0)
+        lw = log_weights(u, x, j)
+        live = np.isfinite(lw)  # at x = 0 only j = 0
+        j, lw = j[live], lw[live]
+
+        def truncated(t: float) -> float:
+            return u * float(np.sum(np.exp(lw + log_weights(u, t, j))))
+
+        magnitude = BlackBox(lambda t: abs(g(t)), g.growth_rate, g.kinks)
+        value, inner_err = _blackbox_integral(g, u, x, truncated)
+        full, full_err = _blackbox_integral(magnitude, u, x, partial(kernel_value, u, x))
+        cut, cut_err = _blackbox_integral(magnitude, u, x, truncated)
+        tail_bound = max(full - cut, 0.0) + full_err + cut_err
+    else:
+        value, majorant, budget = _partial_sums(u, x, terms, j_max)
+        if not math.isfinite(value):
+            raise OperatorOverflow(f"partial sum to J={j_max} is not finite: {value}")
+        tail_bound = _tail_bound(u, x, terms, majorant, budget)
+        inner_err = 0.0
+    return OperatorValue(
+        value=value,
+        series_terms_used=j_max + 1,
+        tail_mass=tail_mass(u, x, j_max),
+        tail_bound=tail_bound,
+        inner_integral_error=inner_err,
+    )
 
 
 def kernel_value(u: float, x: float, t: float) -> float:

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from .basis import DEFAULT_TAIL_EPS, TailEpsilon
 from .moments import (
     central_moment,
     central_moment_bruteforce,
@@ -26,7 +25,7 @@ from .moments import (
     zeta_sq,
 )
 from .operator import OperatorOverflow, SequenceRule, apply, apply_truncated, kernel_cdf
-from .quadrature import DEFAULT_QUADRATURE, DivergentIntegral, QuadratureConfig
+from .quadrature import DivergentIntegral
 from .targets import (
     BUILTIN_TARGETS,
     BlackBox,
@@ -112,8 +111,6 @@ def make_error_table(
     rule: SequenceRule,
     xs=REFERENCE_XS,
     ns=REFERENCE_NS,
-    eps: float = DEFAULT_TAIL_EPS,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> ErrorTable:
     """Fill the (x, n) error grid for a target under a parameter rule.
 
@@ -124,14 +121,13 @@ def make_error_table(
     """
     xs = tuple(float(x) for x in xs)
     ns = tuple(int(n) for n in ns)
-    trunc = TailEpsilon(eps)
     cells = []
     for x in xs:
         gx = float(np.asarray(g(np.array([x])))[0])
         for n in ns:
             u = rule.u_value(n)
             try:
-                op = apply(g, u, x, trunc, cfg)
+                op = apply(g, u, x)
                 cells.append(
                     TableCell(x, n, u, op.value, gx, abs(op.value - gx))
                 )
@@ -156,8 +152,6 @@ def make_curves(
     u_values,
     x_grid,
     truncation_js=None,
-    eps: float = DEFAULT_TAIL_EPS,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[CurveSeries]:
     """Curve data: the target itself, one series per u, and optionally one
     truncated series per (u, J) pair."""
@@ -173,14 +167,11 @@ def make_curves(
         )
     ]
     for u in u_values:
-        pts = tuple(
-            (float(x), apply(g, float(u), float(x), TailEpsilon(eps), cfg).value)
-            for x in xs
-        )
+        pts = tuple((float(x), apply(g, float(u), float(x)).value) for x in xs)
         series.append(CurveSeries(f"u={float(u):g}", float(u), None, pts))
     for u, j_max in zip(u_values, truncation_js) if truncation_js else ():
         pts = tuple(
-            (float(x), apply_truncated(g, float(u), float(x), int(j_max), cfg).value)
+            (float(x), apply_truncated(g, float(u), float(x), int(j_max)).value)
             for x in xs
         )
         series.append(

@@ -4,15 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from szmd.basis import (
-    FixedJ,
-    TailEpsilon,
-    log_weights,
-    series_cutoff,
-    szasz_weight,
-    tail_mass,
-    truncation_index,
-)
+from szmd.basis import log_weights, szasz_weight, tail_mass, truncation_index
+from szmd.operator import apply_truncated
+from szmd.targets import BUILTIN_TARGETS
 
 mp.mp.dps = 50
 
@@ -134,12 +128,6 @@ class TestNormalization:
 
 
 class TestTruncationSpec:
-    def test_series_cutoff_dispatch(self):
-        assert series_cutoff(10.0, 1.0, FixedJ(17)) == 17
-        assert series_cutoff(10.0, 1.0, TailEpsilon(1e-12)) == truncation_index(10.0, 1.0, 1e-12)
-
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
-            TailEpsilon(0.0)
-        with pytest.raises(ValueError):
-            FixedJ(-1)
+            apply_truncated(BUILTIN_TARGETS["one"], 10.0, 1.0, -1)

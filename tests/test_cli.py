@@ -41,6 +41,18 @@ class TestEval:
         assert code == 0
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("u, x, kind", [("3", "300", "overflows"),
+                                            ("2", "1", "undefined")])
+    def test_refused_value_is_one_line_on_stderr(self, capsys, u, x, kind):
+        code = main(["eval", "--g", "x2e2x", "--u", u, "--x", x])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("szmd: error: ")
+        assert kind in lines[0]
+
+
 class TestTable:
     def test_paper_check_passes_on_spot_cell(self, capsys):
         code, out = run_cli(

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from szmd import operator
-from szmd.basis import TailEpsilon
+from szmd.basis import truncation_index
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
@@ -16,7 +16,7 @@ from szmd.operator import (
     kernel_value,
     parse_rule,
 )
-from szmd.quadrature import DivergentIntegral, QuadratureResult
+from szmd.quadrature import DivergentIntegral
 from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum
 
 ONE = BUILTIN_TARGETS["one"]
@@ -84,7 +84,7 @@ class TestApply:
 
     def test_tail_mass_respects_eps(self):
         for eps in (1e-10, 1e-14):
-            op = apply(X2E2X, 50.0, 1.5, TailEpsilon(eps))
+            op = apply_truncated(X2E2X, 50.0, 1.5, truncation_index(50.0, 1.5, eps))
             assert op.tail_mass <= eps
 
     def test_blackbox_matches_structured(self):
@@ -93,7 +93,7 @@ class TestApply:
         )
         a = apply(X2E2X, 20.0, 0.8).value
         b = apply(g_bb, 20.0, 0.8).value
-        np.testing.assert_allclose(b, a, rtol=1e-9)
+        np.testing.assert_allclose(b, a, rtol=1e-12)
 
 
 class TestClosedForm:
@@ -106,7 +106,7 @@ class TestClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("a series was summed")
 
-        for name in ("log_weights", "series_cutoff", "tail_mass"):
+        for name in ("log_weights", "tail_mass", "kernel_integral"):
             monkeypatch.setattr(operator, name, refuse)
         apply(X2E2X, 1e6, 2.5)
         kernel_value(1e6, 1.0, 1.001)
@@ -126,17 +126,31 @@ class TestOverflow:
             with pytest.raises(OperatorOverflow):
                 apply_truncated(X2E2X, 3.0, 300.0, 3000)
 
-    def test_blackbox_partial_sum_overflow_is_typed(self, monkeypatch):
-        # every inner integral is finite; u times their weighted sum is not
-        monkeypatch.setattr(operator, "basis_integral",
-                            lambda u, j, g, cfg: QuadratureResult(1e308, 0.0))
-        g = BlackBox(lambda t: 1.0, growth_rate=0.0)
+    def test_blackbox_partial_sum_overflow_is_typed(self):
+        # the target is finite; the kernel (peak ~2.8 at u = 100) times it
+        # is not
+        g = BlackBox(lambda t: 1e308, growth_rate=0.0)
         with pytest.raises(OperatorOverflow):
-            apply(g, 10.0, 1.0)
+            apply(g, 100.0, 1.0)
 
     def test_majorant_overflow_leaves_an_infinite_tail_bound(self):
         op = apply_truncated(X2E2X, 3.0, 300.0, 10)
         assert math.isfinite(op.value) and op.tail_bound == math.inf
+
+
+class TestBlackBoxNearGrowthEdge:
+    @pytest.mark.parametrize("u", [2.5, 3.0])
+    @pytest.mark.parametrize("x", [0.1, 1.0])
+    def test_matches_the_closed_form(self, u, x):
+        # the mass of K(x,t) t^2 e^{2t} lies near t = u^2 x/(u-2)^2, up to 25
+        g = BlackBox(lambda t: t * t * math.exp(2.0 * t), growth_rate=2.0)
+        np.testing.assert_allclose(apply(g, u, x).value, apply(X2E2X, u, x).value, rtol=1e-12)
+
+    def test_target_overflowing_at_the_tilted_mode_is_typed(self):
+        # at u = 2.1, x = 1 the mass lies near t = 441, where e^{2t} overflows
+        g = BlackBox(lambda t: t * t * math.exp(2.0 * t), growth_rate=2.0)
+        with pytest.raises(OperatorOverflow):
+            apply(g, 2.1, 1.0)
 
 
 class TestApplyTruncated:
@@ -159,6 +173,19 @@ class TestApplyTruncated:
     def test_reports_actual_neglected_mass(self):
         op = apply_truncated(ONE, 50.0, 2.5, 50)  # cut far below the mode 125
         assert op.tail_mass > 0.99
+
+    @pytest.mark.parametrize("j_max", [0, 15, 60])
+    def test_blackbox_matches_the_structured_partial_sum(self, j_max):
+        g = BlackBox(lambda t: -(t**3) * math.exp(-5.0 * t), growth_rate=-5.0)
+        want = apply_truncated(NEGX3E5X, 15.0, 1.0, j_max)
+        op = apply_truncated(g, 15.0, 1.0, j_max)
+        majorant = abs(apply(NEGX3E5X, 15.0, 1.0).value)
+        assert abs(op.value - want.value) <= 1e-12 * majorant
+        assert op.series_terms_used == j_max + 1 and op.tail_mass == want.tail_mass
+        # both tail bounds measure the |g|-majorant's neglected part
+        np.testing.assert_allclose(op.tail_bound, want.tail_bound, rtol=1e-9, atol=1e-15)
+        full = apply(g, 15.0, 1.0).value
+        assert abs(full - op.value) <= op.tail_bound
 
 
 class TestKernel:

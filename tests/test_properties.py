@@ -23,7 +23,7 @@ from szmd.operator import (
     kernel_cdf,
     kernel_value,
 )
-from szmd.targets import BUILTIN_TARGETS, ExpPolySum, MonomialSum
+from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum
 
 EPS = sys.float_info.epsilon
 LN_DBL_MAX = math.log(sys.float_info.max)
@@ -161,6 +161,33 @@ def test_partial_sum_far_past_the_mode_matches(case):
     full = apply_or_skip(terms, u, x)
     trunc = apply_truncated(ExpPolySum(terms), u, x, j_max)
     assert abs(full.value - trunc.value) <= trunc.tail_bound
+
+
+@settings(max_examples=30)
+@given(regimes(), st.integers(0, 60))
+def test_blackbox_matches_the_closed_form(case, j_max):
+    # the kernel integral of a wrapped exp-poly target against the closed
+    # form and the exactly summed partial series, within 1e-12 of the
+    # |g|-majorant sum_k |c_k| B_k
+    terms, u, x = case
+    g = ExpPolySum(terms)
+
+    def fn(t):
+        with np.errstate(over="raise"):
+            try:
+                return g(t)
+            except FloatingPointError:
+                raise OverflowError(f"target overflows at t={t}") from None
+
+    box = BlackBox(fn, g.growth_rate)
+    try:
+        op = apply(box, u, x)
+    except OperatorOverflow:
+        assume(False)
+    majorant = apply(ExpPolySum(tuple((abs(c), m, a) for c, m, a in terms)), u, x).value
+    assert abs(op.value - apply(g, u, x).value) <= 1e-12 * majorant
+    trunc = apply_truncated(box, u, x, j_max)
+    assert abs(trunc.value - apply_truncated(g, u, x, j_max).value) <= 1e-12 * majorant
 
 
 # ---------------------------------------------------------------------------

@@ -1,205 +1,179 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.special import gammainc, gammaincc
 
-from szmd.quadrature import (
-    ConvergenceFailure,
-    DivergentIntegral,
-    QuadratureConfig,
-    basis_integral,
-    exact_basis_integral_exppoly,
-    exact_basis_integral_monomial,
-    _laguerre_rule,
-    numeric_basis_integral,
-)
+from szmd import operator
+from szmd.basis import log_weights
+from szmd.operator import apply, apply_truncated
+from szmd.quadrature import ConvergenceFailure, DivergentIntegral, log_exppoly_integrals
 from szmd.targets import BlackBox, ExpPolySum, MonomialSum
 
+US = (1e2, 1e4, 1e6)
+XS = (0.0, 0.1, 1.0, 2.5)
 
-def _quad_oracle(u, j, g, hi=None):
-    """Independent adaptive quadrature of s_{u,j}(t) g(t)."""
 
-    def f(t):
-        if t <= 0.0:
-            return float(g(0.0)) if j == 0 else 0.0
-        lw = j * math.log(u * t) - u * t - math.lgamma(j + 1)
-        return math.exp(lw) * float(g(t)) if lw > -700.0 else 0.0
+def _basis_integral(u, j, m, a=0.0):
+    """Integral of s_{u,j}(t) t^m e^{at} over [0, inf)."""
+    return float(np.exp(log_exppoly_integrals(u, m, a, np.array([float(j)]))[0]))
 
-    hi = hi if hi is not None else (j + 60.0 + 12.0 * math.sqrt(j + 1.0)) / u
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, 0.0, hi, limit=300, epsabs=1e-15, epsrel=1e-13)
-    return val
+
+def _abs_shift_reference(u, x):
+    """B(|t-1|; x) as the Poisson mixture of its incomplete-gamma integrals.
+
+    With T ~ Gamma(j+1, 1/u), k = (j+1)/u and P = P(j+1, u), u times the
+    inner integral is E|T-1| = (1-k)(2P-1) + 2 s_{u,j}(1): both terms are
+    >= 0 near the kink, so nothing cancels.
+    """
+    lam = u * x
+    j = np.arange(max(0.0, math.floor(lam - 40.0 * math.sqrt(lam) - 50.0)),
+                  math.ceil(lam + 40.0 * math.sqrt(lam) + 50.0) + 1.0)
+    k = (j + 1.0) / u
+    inner = ((1.0 - k) * (gammainc(j + 1.0, u) - gammaincc(j + 1.0, u))
+             + 2.0 * np.exp(log_weights(u, 1.0, j)))
+    return math.fsum(np.exp(log_weights(u, x, j)) * inner)
 
 
 class TestExactMonomial:
     def test_normalization_any_index(self):
-        np.testing.assert_allclose(exact_basis_integral_monomial(5.0, 3, 0), 0.2, rtol=1e-14)
+        np.testing.assert_allclose(_basis_integral(5.0, 3, 0), 0.2, rtol=1e-14)
 
     def test_gamma_value(self):
-        np.testing.assert_allclose(exact_basis_integral_monomial(1.0, 0, 2), 2.0, rtol=1e-14)
+        np.testing.assert_allclose(_basis_integral(1.0, 0, 2), 2.0, rtol=1e-14)
 
     def test_factorial_ratio(self):
-        got = exact_basis_integral_monomial(10.0, 7, 3)
-        np.testing.assert_allclose(got, 0.072, rtol=1e-13)
-        np.testing.assert_allclose(got, _quad_oracle(10.0, 7, lambda t: t**3), rtol=1e-12)
+        # 10! / (7! 10^4)
+        np.testing.assert_allclose(_basis_integral(10.0, 7, 3), 0.072, rtol=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            exact_basis_integral_monomial(-1.0, 0, 0)
+            _basis_integral(-1.0, 0, 0)
 
 
 class TestExactExpPoly:
     def test_zero_rate_reduces_to_monomial(self):
         for (u, j, m) in [(5.0, 2, 1), (10.0, 0, 3), (3.0, 7, 0)]:
-            np.testing.assert_allclose(
-                exact_basis_integral_exppoly(u, j, m, 0.0),
-                exact_basis_integral_monomial(u, j, m),
-                rtol=1e-14,
-            )
+            want = math.factorial(j + m) / (math.factorial(j) * u ** (m + 1))
+            np.testing.assert_allclose(_basis_integral(u, j, m, 0.0), want, rtol=1e-14)
 
     def test_growing_target_value(self):
-        got = exact_basis_integral_exppoly(10.0, 0, 2, 2.0)
-        np.testing.assert_allclose(got, 2.0 / 8.0**3, rtol=1e-14)
-        np.testing.assert_allclose(
-            got, _quad_oracle(10.0, 0, lambda t: t**2 * math.exp(2.0 * t), hi=20.0),
-            rtol=1e-12,
-        )
+        np.testing.assert_allclose(_basis_integral(10.0, 0, 2, 2.0), 2.0 / 8.0**3, rtol=1e-14)
 
     def test_divergence_at_boundary(self):
         with pytest.raises(DivergentIntegral):
-            exact_basis_integral_exppoly(2.0, 1, 0, 2.0)
+            _basis_integral(2.0, 1, 0, 2.0)
         with pytest.raises(DivergentIntegral):
-            exact_basis_integral_exppoly(1.0, 0, 0, 5.0)
+            _basis_integral(1.0, 0, 0, 5.0)
 
 
 class TestNumericIntegral:
+    """Black boxes through one kernel integral, against closed forms."""
+
     def test_normalization_blackbox(self):
         g = BlackBox(lambda t: 1.0, growth_rate=0.0)
-        res = numeric_basis_integral(10.0, 4, g)
-        np.testing.assert_allclose(res.value, 0.1, atol=1e-12)
+        for u in US:
+            for x in XS:
+                np.testing.assert_allclose(apply(g, u, x).value, 1.0, rtol=1e-12)
 
     def test_matches_exact_growing(self):
         g = BlackBox(lambda t: t**2 * math.exp(2.0 * t), growth_rate=2.0)
-        res = numeric_basis_integral(10.0, 4, g)
-        want = exact_basis_integral_exppoly(10.0, 4, 2, 2.0)
-        np.testing.assert_allclose(res.value, want, rtol=1e-10)
+        want = ExpPolySum(((1.0, 2, 2.0),))
+        for u in US:
+            for x in XS:
+                np.testing.assert_allclose(apply(g, u, x).value, apply(want, u, x).value,
+                                           rtol=1e-12)
 
     def test_matches_exact_decaying(self):
         g = BlackBox(lambda t: -(t**3) * math.exp(-5.0 * t), growth_rate=-5.0)
-        res = numeric_basis_integral(50.0, 0, g)
-        want = -exact_basis_integral_exppoly(50.0, 0, 3, -5.0)
-        np.testing.assert_allclose(res.value, want, rtol=1e-10)
+        want = ExpPolySum(((-1.0, 3, -5.0),))
+        for u in US:
+            for x in XS:
+                np.testing.assert_allclose(apply(g, u, x).value, apply(want, u, x).value,
+                                           rtol=1e-12)
 
     def test_index_beyond_largest_node(self):
-        # s_{u,j} peaks at t = j/u, i.e. at s = j ~ 1e4 after substitution,
-        # past the largest node (~6400) of the order-1600 rule: every pass
-        # sees only dead weights, and agreeing passes of 0 are no answer
+        # at u = 1e4, x = 1 the Poisson weights live at j ~ 1e4, and at
+        # u = 1e6 the kernel's mass lies within ~0.003 of x
         g = BlackBox(lambda t: math.exp(-t), growth_rate=0.0)
-        res = numeric_basis_integral(1e4, 10000, g)
-        want = exact_basis_integral_exppoly(1e4, 10000, 0, -1.0)
-        np.testing.assert_allclose(res.value, want, rtol=1e-10)
+        want = ExpPolySum(((1.0, 0, -1.0),))
+        for u in US:
+            for x in XS:
+                np.testing.assert_allclose(apply(g, u, x).value, apply(want, u, x).value,
+                                           rtol=1e-12)
 
     def test_divergence_guard(self):
         g = BlackBox(lambda t: math.exp(2.0 * t), growth_rate=2.0)
         with pytest.raises(DivergentIntegral):
-            numeric_basis_integral(1.5, 0, g)
+            apply(g, 1.5, 1.0)
+        with pytest.raises(DivergentIntegral):
+            apply_truncated(g, 1.5, 1.0, 3)
 
     def test_exact_numeric_agreement_grid(self):
         # forces the quadrature path via BlackBox even for monomials
         for u in (5.0, 10.0, 100.0):
             for m in range(5):
                 g = BlackBox(lambda t, m=m: t**m, growth_rate=0.0)
-                for j in range(21):
-                    num = numeric_basis_integral(u, j, g).value
-                    exact = exact_basis_integral_monomial(u, j, m)
-                    np.testing.assert_allclose(num, exact, rtol=1e-9)
+                want = MonomialSum(((1.0, m),))
+                for x in XS:
+                    np.testing.assert_allclose(apply(g, u, x).value, apply(want, u, x).value,
+                                               rtol=1e-12)
 
     def test_positivity(self):
         g = BlackBox(lambda t: 1.0 + math.sin(t) ** 2, growth_rate=0.0)
-        for j in (0, 3, 11):
-            assert numeric_basis_integral(8.0, j, g).value >= 0.0
+        for u in US:
+            for x in XS:
+                assert apply(g, u, x).value >= 1.0 - 1e-12
 
     def test_linearity(self):
         g1 = BlackBox(lambda t: t, growth_rate=0.0)
         g2 = BlackBox(lambda t: math.exp(-t), growth_rate=0.0)
-        combo = BlackBox(lambda t: 2.0 * t + 3.0 * math.exp(-t), growth_rate=0.0)
-        a = numeric_basis_integral(7.0, 5, g1).value
-        b = numeric_basis_integral(7.0, 5, g2).value
-        c = numeric_basis_integral(7.0, 5, combo).value
-        np.testing.assert_allclose(c, 2.0 * a + 3.0 * b, rtol=1e-12)
+        combo = BlackBox(lambda t: 2.0 * t - 3.0 * math.exp(-t), growth_rate=0.0)
+        for u in US:
+            for x in XS:
+                a, b = apply(g1, u, x).value, apply(g2, u, x).value
+                c = apply(combo, u, x).value
+                assert abs(c - (2.0 * a - 3.0 * b)) <= 1e-12 * (2.0 * a + 3.0 * b)
 
     def test_kinked_target_against_incomplete_gamma(self):
-        # |t-1| has a closed form through the regularized lower incomplete
-        # gamma: with B = int_0^1 s dt and A = int_0^1 t s dt,
-        # int s|t-1| = 2B - 2A + (j+1)/u^2 - 1/u.
         g = BlackBox(lambda t: abs(t - 1.0), growth_rate=0.0, kinks=(1.0,))
-        for (u, j) in [(10.0, 4), (10.0, 12), (100.0, 95), (100.0, 110)]:
-            B = gammainc(j + 1, u) / u
-            A = (j + 1) / u**2 * gammainc(j + 2, u)
-            want = 2.0 * B - 2.0 * A + (j + 1) / u**2 - 1.0 / u
-            got = numeric_basis_integral(u, int(j), g).value
-            np.testing.assert_allclose(got, want, rtol=1e-9)
-
-
-class TestLaguerreRule:
-    @pytest.mark.parametrize("order", [200, 400])
-    def test_log_weights_integrate_high_moments(self, order):
-        # int_0^inf e^{-x} x^k dx = k!; the far-tail weights (down to
-        # ~e^-1500) carry the high moments, so eigenvector-derived weights,
-        # which are noise below ~e^-78, miss k! by a factor e^70 and more
-        nodes, log_w = _laguerre_rule(order)
-        for k in (0, 10, 50, 100, 200, 300):
-            got = logsumexp(log_w + k * np.log(nodes))
-            assert abs(got - gammaln(k + 1)) <= 1e-11, (order, k, got)
+        for u in US:
+            for x in XS:
+                np.testing.assert_allclose(apply(g, u, x).value, _abs_shift_reference(u, x),
+                                           rtol=1e-12)
 
 
 class TestNonFinite:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("kinks", [(), (1.0,)])
     def test_non_finite_target_is_refused(self, value, kinks):
-        # neither the order-doubling check nor the adaptive fallback may
-        # accept inf/nan as a converged value (inf <= inf and nan > x)
         g = BlackBox(lambda t: value, growth_rate=0.0, kinks=kinks)
         with pytest.raises(ConvergenceFailure):
-            numeric_basis_integral(10.0, 2, g)
+            apply(g, 10.0, 1.0)
 
     def test_overflowing_pass_is_not_accepted(self):
-        # e^t overflows past t = 709: the order-200 pass stays finite, the
-        # order-400 one reaches the overflow and is inf, and inf - finite
-        # <= tol * inf would accept it as converged
+        # the window reaches t = 841 and e^t is inf past t = 709, where the
+        # tilted kernel still carries e^-29 of its peak: an infinite target
+        # value is refused, never summed into the estimate
         g = BlackBox(lambda t: math.exp(t) if t < 709.0 else math.inf, growth_rate=1.0)
         with pytest.raises(ConvergenceFailure):
-            numeric_basis_integral(1.5, 300, g)
+            apply(g, 1.5, 40.0)
 
 
 class TestDispatch:
-    def test_structured_targets_bypass_quadrature(self):
-        res = basis_integral(10.0, 3, ExpPolySum(((1.0, 2, 2.0),)))
-        assert res.error == 0.0
-        np.testing.assert_allclose(
-            res.value, exact_basis_integral_exppoly(10.0, 3, 2, 2.0), rtol=1e-15
-        )
-        res = basis_integral(10.0, 3, MonomialSum(((2.0, 1),)))
-        np.testing.assert_allclose(
-            res.value, 2.0 * exact_basis_integral_monomial(10.0, 3, 1), rtol=1e-15
-        )
+    def test_structured_targets_bypass_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a structured target went through quadrature")
+
+        monkeypatch.setattr(operator, "kernel_integral", refuse)
+        g = ExpPolySum(((1.0, 2, 2.0),))
+        assert apply(g, 10.0, 1.0).inner_integral_error == 0.0
+        assert apply(MonomialSum(((2.0, 1),)), 10.0, 1.0).inner_integral_error == 0.0
+        assert apply_truncated(g, 10.0, 1.0, 20).inner_integral_error == 0.0
 
     def test_blackbox_goes_numeric(self):
-        res = basis_integral(10.0, 3, BlackBox(lambda t: t, growth_rate=0.0))
-        np.testing.assert_allclose(
-            res.value, exact_basis_integral_monomial(10.0, 3, 1), rtol=1e-10
-        )
+        op = apply(BlackBox(lambda t: t, growth_rate=0.0), 10.0, 1.0)
+        np.testing.assert_allclose(op.value, 1.1, rtol=1e-13)
+        assert 0.0 < op.inner_integral_error <= 1e-12
+        assert (op.series_terms_used, op.tail_mass, op.tail_bound) == (0, 0.0, 0.0)
 
-
-class TestConfig:
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(laguerre_order=1)
-        with pytest.raises(ValueError):
-            QuadratureConfig(adaptive_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_refinement_depth=0)

@@ -18,7 +18,7 @@ from szmd.report import (
     run_verification_suite,
     table_csv,
 )
-from szmd.targets import BUILTIN_TARGETS
+from szmd.targets import BUILTIN_TARGETS, BlackBox
 
 X2E2X = BUILTIN_TARGETS["x2e2x"]
 NEGX3E5X = BUILTIN_TARGETS["negx3e5x"]
@@ -73,6 +73,14 @@ class TestErrorTable:
         assert bad.error.startswith("overflow") and math.isnan(bad.abs_error)
         assert good.error is None and math.isfinite(good.abs_error)
         assert "overflow" in format_table_pretty(t)
+
+    def test_blackbox_overflowing_at_the_tilted_mode_is_flagged(self):
+        # u = 2.1, x = 1: the mass lies near t = 441, where e^{2t} overflows
+        g = BlackBox(lambda t: t * t * math.exp(2.0 * t), growth_rate=2.0)
+        t = make_error_table(g, SequenceRule.from_explicit([2.1, 3.0]), xs=(1.0,), ns=(1, 2))
+        bad, good = t.cell(1.0, 1), t.cell(1.0, 2)
+        assert bad.error.startswith("overflow") and math.isnan(bad.abs_error)
+        assert good.error is None and math.isfinite(good.abs_error)
 
     def test_u_column_strictly_increasing(self):
         t = make_error_table(X2E2X, SequenceRule.from_power(1.5), xs=(1.0,), ns=(10, 50, 100))

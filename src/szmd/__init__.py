@@ -2,7 +2,6 @@
 sequence: numerically stable evaluation, exact moment theory, error-bound
 calculators, and reproduction of the reference convergence tables."""
 
-from .basis import szasz_weight, truncation_index
 from .bounds import (
     BoundCheck,
     DbvBound,

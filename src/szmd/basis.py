@@ -1,9 +1,8 @@
-"""Szasz basis weights and series truncation.
+"""Szasz basis weights and the tail mass of a truncated series.
 
 The basis weight s_{u,j}(x) = e^{-ux} (ux)^j / j! is a Poisson probability
-mass in j with mean ux, so the infinite series over j can be cut at an index
-J whose neglected tail mass is certified by the regularized incomplete gamma
-function.
+mass in j with mean ux, so the mass a series cut after index J neglects is
+the regularized incomplete gamma function.
 """
 from __future__ import annotations
 
@@ -13,30 +12,6 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 _LN_2PI = math.log(2.0 * math.pi)
-
-
-def _validate_point(u: float, j: int, x: float) -> None:
-    if u <= 0.0:
-        raise ValueError(f"basis parameter u must be positive, got {u}")
-    if x < 0.0:
-        raise ValueError(f"evaluation point x must be >= 0, got {x}")
-    if j < 0:
-        raise ValueError(f"basis index j must be >= 0, got {j}")
-
-
-def szasz_weight(u: float, j: int, x: float) -> float:
-    """Basis weight e^{-ux} (ux)^j / j!.
-
-    Evaluated as exp(j*ln(ux) - ux - lgamma(j+1)) so large j and large ux
-    do not overflow.  At x = 0 the weight is exactly 1 for j = 0 and exactly
-    0 otherwise (0^0 = 1 convention, needed so the operator fixes constants
-    at the origin).
-    """
-    _validate_point(u, j, x)
-    lam = u * x
-    if lam == 0.0:
-        return 1.0 if j == 0 else 0.0
-    return math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
 
 
 def _stirling_error(j: np.ndarray) -> np.ndarray:
@@ -88,12 +63,15 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
     1.9e-12 at ux = 1e4, j = 12408 and 6.8e-12 at ux = 3e4, j = 37233.
     At ux = 1e4 the far branch holds only weights below ~e^-180.  Entries
     with j = 0 get exactly -ux; at x = 0 only j = 0 carries weight.
+    Raises ValueError for u <= 0, x < 0 or a negative index.
     """
     if u <= 0.0:
         raise ValueError(f"basis parameter u must be positive, got {u}")
     if x < 0.0:
         raise ValueError(f"evaluation point x must be >= 0, got {x}")
     j = np.asarray(j, dtype=np.float64)
+    if j.size and j.min() < 0.0:  # cheaper than np.any on short arrays
+        raise ValueError(f"basis index j must be >= 0, got {j.min():g}")
     lam = u * x
     if lam == 0.0:
         return np.where(j == 0.0, 0.0, -np.inf)
@@ -114,39 +92,3 @@ def tail_mass(u: float, x: float, j_last: int) -> float:
     # P(X >= j_last+1) for X ~ Poisson(lam) is the regularized lower
     # incomplete gamma function P(j_last+1, lam).
     return float(gammainc(j_last + 1, lam))
-
-
-def truncation_index(u: float, x: float, eps: float) -> int:
-    """Smallest J with sum_{j > J} s_{u,j}(x) <= eps, never below ceil(ux).
-
-    The floor at ceil(ux) keeps the cut past the Poisson mode even for very
-    loose eps, so the dominant terms of any downstream series are always
-    included.
-    """
-    if u <= 0.0:
-        raise ValueError(f"basis parameter u must be positive, got {u}")
-    if x < 0.0:
-        raise ValueError(f"evaluation point x must be >= 0, got {x}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lam = u * x
-    if lam == 0.0:
-        return 0
-    lo = int(math.ceil(lam))
-    if tail_mass(u, x, lo) <= eps:
-        return lo
-    # Bracket then bisect on the monotone tail mass.
-    width = 16 + int(12.0 * math.sqrt(lam + 1.0))
-    hi = lo + width
-    while tail_mass(u, x, hi) > eps:
-        lo = hi
-        hi += width
-        width *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail_mass(u, x, mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-

@@ -3,9 +3,9 @@
 Subcommands: eval (single operator value), table (error tables), curve
 (figure data), moments (raw/central moment dumps), bounds (error-bound
 calculators), verify (the full cross-check suite).  Exit status is 1 when
---paper-check or verify finds violations, and 2 when the operator refuses a
-value (divergent, overflowing or unconverged), with one line
-"szmd: error: <message>" on stderr.
+--paper-check or verify finds violations, and 2 when an input is invalid or
+the operator refuses a value (divergent, overflowing or unconverged), with
+one line "szmd: error: <message>" on stderr.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .moments import central_moment, raw_moment
 from .operator import OperatorOverflow, apply, apply_truncated, parse_rule
-from .quadrature import ConvergenceFailure, DivergentIntegral
+from .quadrature import ConvergenceFailure
 from .report import (
     REFERENCE_NS,
     REFERENCE_XS,
@@ -122,14 +122,13 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    xs = _parse_grid(args.xs)
-    print("x,m,raw_moment,central_moment")
-    for x in xs:
-        for m in range(args.max_m + 1):
-            print(
-                f"{x:.17g},{m},{raw_moment(args.u, x, m):.17g},"
-                f"{central_moment(args.u, x, m):.17g}"
-            )
+    rows = [
+        f"{x:.17g},{m},{raw_moment(args.u, x, m):.17g},"
+        f"{central_moment(args.u, x, m):.17g}"
+        for x in _parse_grid(args.xs)
+        for m in range(args.max_m + 1)
+    ]
+    print("\n".join(["x,m,raw_moment,central_moment", *rows]))
     return 0
 
 
@@ -250,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DivergentIntegral, OperatorOverflow, ConvergenceFailure) as exc:
+    except (ValueError, OperatorOverflow, ConvergenceFailure) as exc:
         print(f"szmd: error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,20 +4,20 @@ Applying the operator to t^m gives (1/u^m) * E[(X+1)(X+2)...(X+m)] with
 X ~ Poisson(ux), which expands to an integer-coefficient polynomial in ux.
 Central moments are kept as polynomials in x whose coefficients are exact
 rationals in 1/u, so the derivative-based recurrence and the binomial
-expansion can be compared coefficient-wise without rounding.
+expansion can be compared coefficient-wise without rounding.  The reference
+central_moment_bruteforce is a quadrature of (t - x)^m against the kernel
+instead, so it shares no code with these polynomials.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
-from .basis import szasz_weight, truncation_index
+from .targets import BlackBox
 
 # A polynomial sum_k x^k * sum_d c_{k,d} u^{-d} as {k: {d: Fraction}}.
 PolyXU = dict[int, dict[int, Fraction]]
@@ -262,34 +262,14 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     return DecayReport(m, x, slope, limit, slope <= limit + 0.1)
 
 
-def central_moment_bruteforce(u: float, x: float, m: int, eps: float = 1e-12) -> float:
-    """Slow reference value: explicit series with per-term adaptive quadrature.
+def central_moment_bruteforce(u: float, x: float, m: int) -> float:
+    """Reference value: B((t - x)^m; x) as one integral against the kernel.
 
-    Independent of the closed-form polynomial path; used by the verification
-    suite to cross-check central_moment.
+    The target goes in as a black box, so the value comes from quadrature
+    of the Bessel-form kernel and shares nothing with the Stirling-number
+    polynomials of central_moment; the verification suite cross-checks the
+    two.
     """
-    if x == 0.0:
-        j_last = 0
-    else:
-        j_last = truncation_index(u, x, eps)
-    total = 0.0
-    for j in range(j_last + 1):
-        w = szasz_weight(u, j, x)
-        if w < 1e-16:
-            continue
+    from .operator import apply  # operator imports this module
 
-        def f(t: float, j: int = j) -> float:
-            if t <= 0.0:
-                return (t - x) ** m if j == 0 else 0.0
-            lw = j * math.log(u * t) - u * t - math.lgamma(j + 1)
-            return math.exp(lw) * (t - x) ** m if lw > -745.0 else 0.0
-
-        hi = (j + 40.0 + 12.0 * math.sqrt(j + 1.0)) / u + 2.0 * x
-        pts = [x] if 0.0 < x < hi else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(
-                f, 0.0, hi, points=pts, limit=300, epsabs=1e-15, epsrel=1e-13
-            )
-        total += w * val
-    return u * total
+    return apply(BlackBox(lambda t: (t - x) ** m, growth_rate=0.0), u, x).value

@@ -154,10 +154,15 @@ def make_curves(
     truncation_js=None,
 ) -> list[CurveSeries]:
     """Curve data: the target itself, one series per u, and optionally one
-    truncated series per (u, J) pair."""
+    truncated series per u, cut at the matching entry of truncation_js."""
     xs = np.asarray(sorted(float(x) for x in x_grid), dtype=np.float64)
     if len(xs) < 2 or np.any(np.diff(xs) <= 0.0):
         raise ValueError("x grid must be strictly increasing")
+    if truncation_js and len(truncation_js) != len(u_values):
+        raise ValueError(
+            f"need one truncation index per u: {len(truncation_js)} for "
+            f"{len(u_values)} u values"
+        )
     series = [
         CurveSeries(
             "target",
@@ -353,7 +358,7 @@ def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
             worst = max(worst, abs(central_moment(u, x, 2) - want) / want)
     checks.append(_check("second-moment-zeta-identity", worst, 1e-14))
 
-    # closed polynomial vs series-plus-quadrature brute force
+    # closed polynomial vs one kernel integral of (t - x)^m
     worst = 0.0
     for u in (5.0, 10.0, 100.0):
         for x in (0.1, 1.0, 2.5):

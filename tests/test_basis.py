@@ -3,8 +3,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
-from szmd.basis import log_weights, szasz_weight, tail_mass, truncation_index
+from szmd.basis import log_weights, tail_mass
 from szmd.operator import apply_truncated
 from szmd.targets import BUILTIN_TARGETS
 
@@ -16,16 +17,20 @@ def _weight_mp(u, j, x):
     return mp.e ** (-lam) * lam**j / mp.factorial(j)
 
 
+def _weight(u, j, x):
+    return math.exp(float(log_weights(u, x, np.array([j]))[0]))
+
+
 class TestSzaszWeight:
     def test_origin_conventions(self):
-        assert szasz_weight(1.0, 0, 0.0) == 1.0
-        assert szasz_weight(10.0, 3, 0.0) == 0.0
+        assert _weight(1.0, 0, 0.0) == 1.0
+        assert _weight(10.0, 3, 0.0) == 0.0
 
     def test_simple_value(self):
-        np.testing.assert_allclose(szasz_weight(10.0, 0, 1.0), math.exp(-10.0), rtol=1e-14)
+        np.testing.assert_allclose(_weight(10.0, 0, 1.0), math.exp(-10.0), rtol=1e-14)
 
     def test_large_index_against_mpmath(self):
-        got = szasz_weight(50.0, 60, 1.0)
+        got = _weight(50.0, 60, 1.0)
         want = float(_weight_mp(50, 60, 1))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -38,7 +43,7 @@ class TestSzaszWeight:
             naive = math.exp(-u * x) * (u * x) ** j / math.factorial(j)
             if naive == 0.0:
                 continue
-            np.testing.assert_allclose(szasz_weight(u, j, x), naive, rtol=1e-12)
+            np.testing.assert_allclose(_weight(u, j, x), naive, rtol=1e-12)
 
     def test_parameter_point_symmetry(self):
         # s_{u,j}(x) depends on (u, x) only through the product ux
@@ -47,16 +52,18 @@ class TestSzaszWeight:
             u = float(rng.uniform(0.5, 200.0))
             x = float(rng.uniform(0.0, 3.0))
             j = int(rng.integers(0, 50))
-            a = szasz_weight(u, j, x)
-            b = szasz_weight(1.0, j, u * x)
+            a = _weight(u, j, x)
+            b = _weight(1.0, j, u * x)
             if a == b == 0.0:
                 continue
             np.testing.assert_allclose(a, b, rtol=1e-13)
 
-    @pytest.mark.parametrize("u,j,x", [(-1.0, 0, 1.0), (0.0, 0, 1.0), (1.0, 0, -0.5), (1.0, -1, 1.0)])
+    # a negative index must not pass as the j = 0 weight e^{-ux}
+    @pytest.mark.parametrize("u,j,x", [(-1.0, 0, 1.0), (0.0, 0, 1.0), (1.0, 0, -0.5), (1.0, -1, 1.0),
+                                       (1.0, -1, 0.0)])
     def test_domain_errors(self, u, j, x):
         with pytest.raises(ValueError):
-            szasz_weight(u, j, x)
+            log_weights(u, x, np.array([0, j]))
 
 
 class TestLogWeights:
@@ -65,7 +72,7 @@ class TestLogWeights:
         lw = log_weights(10.0, 1.5, j)
         for jj in (0, 1, 5, 15, 40, 79):
             np.testing.assert_allclose(
-                math.exp(lw[jj]), szasz_weight(10.0, jj, 1.5), rtol=1e-12
+                math.exp(lw[jj]), float(_weight_mp(10, jj, 1.5)), rtol=1e-12
             )
 
     def test_accuracy_at_huge_parameter(self):
@@ -81,39 +88,14 @@ class TestLogWeights:
         assert np.all(np.isneginf(lw[1:]))
 
 
-class TestTruncationIndex:
-    def test_zero_point(self):
-        assert truncation_index(123.0, 0.0, 1e-12) == 0
-
-    def test_smallest_index_matches_exact_summation(self):
-        for (u, x, eps) in [(10.0, 1.0, 1e-15), (5.0, 0.5, 1e-10), (50.0, 2.0, 1e-14)]:
-            target = 1 - mp.mpf(eps)
-            csum = mp.mpf(0)
-            j_exact = None
-            for j in range(0, 5000):
-                csum += _weight_mp(u, j, x)
-                if csum >= target:
-                    j_exact = j
-                    break
-            assert truncation_index(u, x, eps) == j_exact
-
-    def test_never_below_mode(self):
-        assert truncation_index(100.0, 2.5, 1e-12) >= 250
-
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
-    def test_invalid_eps(self, eps):
-        with pytest.raises(ValueError):
-            truncation_index(10.0, 1.0, eps)
-
-
 class TestNormalization:
     @pytest.mark.parametrize("u", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.5])
     def test_partial_sums(self, u, x):
         eps = 1e-12
-        j_last = truncation_index(u, x, eps)
-        weights = [szasz_weight(u, j, x) for j in range(j_last + 1)]
-        partial = np.cumsum(weights)
+        j_last = int(poisson.isf(eps, u * x))
+        assert tail_mass(u, x, j_last) <= eps
+        partial = np.cumsum(np.exp(log_weights(u, x, np.arange(j_last + 1))))
         assert np.all(np.diff(partial) >= 0.0)
         assert partial[-1] >= 1.0 - eps
         assert np.all(partial <= 1.0 + 1e-12)

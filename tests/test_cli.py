@@ -42,10 +42,21 @@ class TestEval:
 
 
 class TestRefusals:
-    @pytest.mark.parametrize("u, x, kind", [("3", "300", "overflows"),
-                                            ("2", "1", "undefined")])
-    def test_refused_value_is_one_line_on_stderr(self, capsys, u, x, kind):
-        code = main(["eval", "--g", "x2e2x", "--u", u, "--x", x])
+    @pytest.mark.parametrize("argv, kind", [
+        pytest.param("eval --g x2e2x --u 3 --x 300", "overflows", id="3-300-overflows"),
+        pytest.param("eval --g x2e2x --u 2 --x 1", "undefined", id="2-1-undefined"),
+        pytest.param("eval --g x2e2x --u -1 --x 1", "u must be positive",
+                     id="negative-u"),
+        pytest.param("eval --g x2e2x --u 10 --x 1 --J -1", "J must be >= 0",
+                     id="negative-J"),
+        pytest.param("moments --u 0", "u must be positive", id="moments-zero-u"),
+        pytest.param("eval --g nosuch### --u 10 --x 1.0", "cannot parse target",
+                     id="unknown-target"),
+        pytest.param("curve --us 10,20 --J 5", "one truncation index per u",
+                     id="curve-unmatched-J"),
+    ])
+    def test_refused_value_is_one_line_on_stderr(self, capsys, argv, kind):
+        code = main(argv.split())
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         lines = captured.err.splitlines()
@@ -144,9 +155,3 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
-
-
-class TestParsing:
-    def test_unknown_target_errors(self, capsys):
-        with pytest.raises(ValueError):
-            run_cli(capsys, "eval", "--g", "nosuch###", "--u", "10", "--x", "1.0")

@@ -1,7 +1,11 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.stats import poisson
 
 from szmd.moments import (
     central_moment,
@@ -13,6 +17,47 @@ from szmd.moments import (
     recurrence_step,
     zeta_sq,
 )
+
+
+def per_j_series(u, x, m, eps=1e-12):
+    """B((t - x)^m; x) as its Poisson series, one adaptive quad per j.
+
+    Independent of both the kernel and the moment polynomials: the series
+    stops where the neglected Poisson mass is below eps.  Needs x > 0.
+    """
+    lam = u * x
+    j_last = int(poisson.isf(eps, lam))
+    total = 0.0
+    for j in range(j_last + 1):
+        w = math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
+        if w < 1e-16:
+            continue
+
+        def f(t: float, j: int = j) -> float:
+            if t <= 0.0:
+                return (t - x) ** m if j == 0 else 0.0
+            lw = j * math.log(u * t) - u * t - math.lgamma(j + 1)
+            return math.exp(lw) * (t - x) ** m if lw > -745.0 else 0.0
+
+        hi = (j + 40.0 + 12.0 * math.sqrt(j + 1.0)) / u + 2.0 * x
+        pts = [x] if 0.0 < x < hi else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            val, _ = integrate.quad(
+                f, 0.0, hi, points=pts, limit=300, epsabs=1e-15, epsrel=1e-13
+            )
+        total += w * val
+    return u * total
+
+
+def exact_central_moment(u, x, m):
+    """The moment polynomial evaluated in exact rationals at float (u, x)."""
+    u, x = Fraction(u), Fraction(x)
+    return float(sum(
+        c * x**k / u**d
+        for k, dv in central_moment_poly(m).coeffs.items()
+        for d, c in dv.items()
+    ))
 
 
 def closed_form_raw(u, x, m):
@@ -121,13 +166,22 @@ class TestRecurrence:
 
 
 class TestBruteforceOracle:
-    @pytest.mark.parametrize("u", [5.0, 10.0])
-    @pytest.mark.parametrize("x", [0.1, 1.0])
+    # x = 0, u = 1e4 and u = 1e6 are edge regimes the per-j series below
+    # cannot reach: it takes about ux adaptive quadratures per moment
+    @pytest.mark.parametrize("u", [5.0, 10.0, 1e4, 1e6])
+    @pytest.mark.parametrize("x", [0.0, 0.1, 1.0])
     def test_matches_closed_form_low_orders(self, u, x):
-        for m in range(4):
-            ref = central_moment_bruteforce(u, x, m)
+        for m in range(7):
             np.testing.assert_allclose(
-                central_moment(u, x, m), ref, rtol=1e-8, atol=1e-14
+                central_moment_bruteforce(u, x, m), exact_central_moment(u, x, m),
+                rtol=1e-9,
+            )
+
+    @pytest.mark.parametrize("u, x", [(5.0, 0.1), (10.0, 1.0), (100.0, 2.5)])
+    def test_matches_per_j_series(self, u, x):
+        for m in range(5):
+            np.testing.assert_allclose(
+                central_moment_bruteforce(u, x, m), per_j_series(u, x, m), rtol=1e-8
             )
 
 

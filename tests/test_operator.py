@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import poisson
 
 from szmd import operator
-from szmd.basis import truncation_index
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
@@ -84,7 +84,7 @@ class TestApply:
 
     def test_tail_mass_respects_eps(self):
         for eps in (1e-10, 1e-14):
-            op = apply_truncated(X2E2X, 50.0, 1.5, truncation_index(50.0, 1.5, eps))
+            op = apply_truncated(X2E2X, 50.0, 1.5, int(poisson.isf(eps, 50.0 * 1.5)))
             assert op.tail_mass <= eps
 
     def test_blackbox_matches_structured(self):

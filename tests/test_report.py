@@ -143,6 +143,12 @@ class TestCurves:
         with pytest.raises(ValueError):
             make_curves(ONE, [10.0], [1.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("js", [[5], [5, 10, 15]])
+    def test_one_truncation_index_per_u(self, js):
+        # zip would drop the unmatched u values or indices without a word
+        with pytest.raises(ValueError, match="one truncation index per u"):
+            make_curves(ONE, [10.0, 20.0], [0.0, 1.0], truncation_js=js)
+
 
 class TestCsvOutput:
     def test_header_and_determinism(self, tmp_path):

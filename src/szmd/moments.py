@@ -147,18 +147,19 @@ class CentralMomentPoly:
     def derivative(self) -> "CentralMomentPoly":
         return CentralMomentPoly(self.order, _p_dx(self.coeffs))
 
-    def same_coeffs(self, other: "CentralMomentPoly", tol: float = 0.0) -> bool:
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
+    def coeff_gap(self, other: "CentralMomentPoly") -> Fraction:
+        """Largest |coefficient difference| with other, exact."""
+        gap = Fraction(0)
+        for k in set(self.coeffs) | set(other.coeffs):
             a, b = self.coeffs.get(k, {}), other.coeffs.get(k, {})
             for d in set(a) | set(b):
-                diff = a.get(d, Fraction(0)) - b.get(d, Fraction(0))
-                if tol == 0.0:
-                    if diff != 0:
-                        return False
-                elif abs(float(diff)) > tol:
-                    return False
-        return True
+                gap = max(gap, abs(a.get(d, Fraction(0)) - b.get(d, Fraction(0))))
+        return gap
+
+    def same_coeffs(self, other: "CentralMomentPoly", tol: float = 0.0) -> bool:
+        """Coefficient-wise equality: exact when tol is 0, else within tol."""
+        gap = self.coeff_gap(other)
+        return gap == 0 if tol == 0.0 else float(gap) <= tol
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,8 @@ from szmd.bounds import (
     second_modulus,
     total_variation,
 )
-from szmd.targets import BUILTIN_TARGETS, BlackBox, MonomialSum
+from szmd.moments import zeta_sq
+from szmd.targets import BUILTIN_TARGETS, BlackBox, MonomialSum, exppoly_derivative
 
 EXPNEG = BUILTIN_TARGETS["expneg"]
 T = BUILTIN_TARGETS["t"]
@@ -245,6 +246,102 @@ class TestDbvBound:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             dbv_bound(abs_shift_spec(), 100.0, 0.0)
+
+
+def variation_terms(bound):
+    return (bound.variation_left_sum, bound.variation_left_edge,
+            bound.variation_right_edge, bound.variation_right_sum)
+
+
+def dbv_variation_terms_from(tv, u, x):
+    """The four variation terms of the bound, given the variation tv(a, b)."""
+    sq, rt = math.floor(math.sqrt(u)), math.sqrt(u)
+    w = 2.0 * zeta_sq(u, x) / (x * u)
+    return (
+        w * sum(tv(x - x / j, x) for j in range(1, sq + 1)),
+        (x / rt) * tv(x - x / rt, x),
+        (x / rt) * tv(x, x + x / rt),
+        w * sum(tv(x, x + x / j) for j in range(1, sq + 1)),
+    )
+
+
+def per_interval_variation_terms(spec, u, x, samples=2048):
+    """Reference: a fresh partition and a fresh pass over h per interval."""
+    h = recentered_derivative(spec, x)
+    bps = tuple(spec.breakpoints) + (x,)
+
+    def tv(a, b):
+        pts = list(np.linspace(a, b, samples))
+        for bp in bps:
+            for t in (bp - 1e-6, bp, bp + 1e-6):
+                if a < t < b:
+                    pts.append(t)
+        grid = np.unique(np.asarray(pts, dtype=np.float64))
+        vals = np.array([float(h(float(t))) for t in grid])
+        return float(np.sum(np.abs(np.diff(vals))))
+
+    return dbv_variation_terms_from(tv, u, x)
+
+
+def abs_sin_integral(a, b):
+    """Exact total variation of cos over [a, b], the integral of |sin|."""
+
+    def antiderivative(t):
+        k = math.floor(t / math.pi)
+        return 2.0 * k + 1.0 - math.cos(t - k * math.pi)
+
+    return antiderivative(b) - antiderivative(a)
+
+
+class TestDbvOnePass:
+    def test_derivative_evaluated_once_per_grid_point(self):
+        base = abs_shift_spec()
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return base.gprime_right(t)
+
+        spec = DbvSpec(base.g, base.gprime_left, counted, base.breakpoints)
+        dbv_bound(spec, 1e6, 0.5)
+        assert len(calls) <= 2048 + 2 * 1000 + 10
+
+    @pytest.mark.parametrize("u", [100.0, 400.0, 900.0])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])
+    def test_kinked_matches_per_interval_bitwise(self, u, x):
+        spec = abs_shift_spec()
+        got = variation_terms(dbv_bound(spec, u, x))
+        assert got == per_interval_variation_terms(spec, u, x)
+
+    @pytest.mark.parametrize("u", [100.0, 400.0, 900.0])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.5])
+    def test_monotone_derivative_matches_per_interval(self, u, x):
+        # a monotone h telescopes on any partition, so a coarse one suffices
+        g = BUILTIN_TARGETS["x2e2x"]
+        dg = exppoly_derivative(g)
+        spec = DbvSpec(g, gprime_left=dg, gprime_right=dg)
+        np.testing.assert_allclose(
+            variation_terms(dbv_bound(spec, u, x, tv_samples=256)),
+            per_interval_variation_terms(spec, u, x, samples=256),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("u", [100.0, 400.0])
+    @pytest.mark.parametrize("x", [1.0, 2.5])
+    def test_oscillating_derivative_under_estimates(self, u, x):
+        # g' = cos turns at pi, inside [0, 2x] for x = 2.5
+        spec = DbvSpec(BlackBox(math.sin, growth_rate=0.0),
+                       gprime_left=math.cos, gprime_right=math.cos)
+        got = variation_terms(dbv_bound(spec, u, x))
+        exact = dbv_variation_terms_from(abs_sin_integral, u, x)
+        for g_term, e_term in zip(got, exact):
+            assert g_term <= e_term * (1.0 + 1e-12)
+            assert e_term - g_term <= 1e-6
+
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_invalid_samples(self, samples):
+        with pytest.raises(ValueError):
+            dbv_bound(abs_shift_spec(), 100.0, 1.0, tv_samples=samples)
 
 
 class TestDbvEmpiricalCheck:

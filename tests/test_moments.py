@@ -8,6 +8,7 @@ from scipy import integrate
 from scipy.stats import poisson
 
 from szmd.moments import (
+    CentralMomentPoly,
     central_moment,
     central_moment_bruteforce,
     central_moment_poly,
@@ -163,6 +164,16 @@ class TestRecurrence:
         # disagreement is structural, not a rounding artifact; x != 1 so the
         # misplaced factor cannot hide
         assert abs(bad.evaluate(10.0, 2.0) - good.evaluate(10.0, 2.0)) > 1e-3
+
+    def test_coefficient_gap_is_exact(self):
+        good = central_moment_poly(4)
+        tiny = Fraction(1, 10**30)
+        nudged = CentralMomentPoly(4, {**good.coeffs, 9: {0: tiny}})
+        assert good.coeff_gap(central_moments_by_recurrence(4)[4]) == 0
+        assert nudged.coeff_gap(good) == tiny
+        # tol = 0 compares the Fractions themselves, so even a 1e-30 gap counts
+        assert not nudged.same_coeffs(good)
+        assert nudged.same_coeffs(good, tol=1e-12)
 
 
 class TestBruteforceOracle:

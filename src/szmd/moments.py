@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-
-from .targets import BlackBox
 
 # A polynomial sum_k x^k * sum_d c_{k,d} u^{-d} as {k: {d: Fraction}}.
 PolyXU = dict[int, dict[int, Fraction]]
@@ -263,14 +261,28 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     return DecayReport(m, x, slope, limit, slope <= limit + 0.1)
 
 
-def central_moment_bruteforce(u: float, x: float, m: int) -> float:
+def central_moment_bruteforce(u: float, x: float, m):
     """Reference value: B((t - x)^m; x) as one integral against the kernel.
 
-    The target goes in as a black box, so the value comes from quadrature
-    of the Bessel-form kernel and shares nothing with the Stirling-number
-    polynomials of central_moment; the verification suite cross-checks the
-    two.
+    m is an order or a sequence of orders; a sequence returns an array with
+    one value per order, all taken from one kernel integral whose target
+    has the columns (t - x)^m, over the window apply uses for a black box
+    of growth rate 0.  The value comes from quadrature of the Bessel-form
+    kernel and shares nothing with the Stirling-number polynomials of
+    central_moment; the verification suite cross-checks the two.
     """
-    from .operator import apply  # operator imports this module
+    # operator imports this module
+    from .operator import _blackbox_window, _kernel_values
+    from .quadrature import kernel_integral
 
-    return apply(BlackBox(lambda t: (t - x) ** m, growth_rate=0.0), u, x).value
+    if u <= 0.0:
+        raise ValueError(f"u must be positive, got {u}")
+    if x < 0.0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    orders = np.asarray(m, dtype=np.float64)
+    value, _ = kernel_integral(
+        partial(_kernel_values, u, x),
+        lambda t: np.power.outer(t - x, orders),
+        *_blackbox_window(u, x, 0.0, ()),
+    )
+    return value if orders.ndim else float(value)

@@ -10,10 +10,11 @@ with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
 targets never sum the series.  The same sum is the kernel integral
 B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
 whose Bessel closed form lets a black box be integrated against it by one
-adaptive quadrature.  The series is summed only for the fixed-J truncation
-study.  Every value ships with a bound on what its evaluation neglected or
-rounded.  The kernel's distribution function has a noncentral chi-square
-closed form.
+adaptive quadrature; the quadrature takes the kernel in an array form
+(_kernel_values) so that each refinement round is one array call.  The
+series is summed only for the fixed-J truncation study.  Every value ships
+with a bound on what its evaluation neglected or rounded.  The kernel's
+distribution function has a noncentral chi-square closed form.
 """
 from __future__ import annotations
 
@@ -247,7 +248,7 @@ def _tail_bound(u: float, x: float, terms, partial: float, partial_budget: float
     return max(total - partial, 0.0) + 2.0 * (budget + partial_budget)
 
 
-def _blackbox_window(g: BlackBox, u: float, x: float) -> tuple[float, float, list[float]]:
+def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float, list[float]]:
     """Range [lo, hi] and break points for the integral of K(x,t) g(t).
 
     K(x,t) <= u e^{-u(sqrt t - sqrt x)^2} because i0e <= 1, so below lo
@@ -261,23 +262,26 @@ def _blackbox_window(g: BlackBox, u: float, x: float) -> tuple[float, float, lis
     reach t where g overflows: at u = 2.5, x = 1, t^2 e^{2t} overflows at
     t = 349, its mass lies near c = 25, and e^{-745} of its peak is at
     t = 1900.  The break points are x, c, c +- 12 sqrt((c + 1/u)/(u-a)) and
-    the declared kinks.
+    the declared kinks; a is the target's declared growth rate.
     """
-    a = g.growth_rate
     d = u - a
     lo = max(math.sqrt(x) - math.sqrt((math.log(u) - _LN_TINY) / u), 0.0) ** 2
     c = u * u * x / (d * d)
     hi = max((math.sqrt(c) + math.sqrt(_TILT_CUT / d)) ** 2, lo)
     w = 12.0 * math.sqrt((c + 1.0 / u) / d)
-    points = sorted({p for p in (x, c, c - w, c + w, *g.kinks) if lo < p < hi})
+    points = sorted({p for p in (x, c, c - w, c + w, *kinks) if lo < p < hi})
     return lo, hi, points
 
 
 def _blackbox_integral(g: BlackBox, u: float, x: float, kernel) -> tuple[float, float]:
     """Integral of kernel(t) g(t) over the window of K(x,t) g(t), and its
-    error estimate; OperatorOverflow when g or the integral overflows."""
+    error estimate; kernel takes an array of nodes.  OperatorOverflow when
+    g or the integral overflows."""
     try:
-        return kernel_integral(kernel, g, *_blackbox_window(g, u, x))
+        value, error = kernel_integral(
+            kernel, g, *_blackbox_window(u, x, g.growth_rate, g.kinks)
+        )
+        return float(value), float(error)
     except OverflowError as exc:
         raise OperatorOverflow(
             f"black-box integral overflows (u={u}, x={x}): {exc}"
@@ -298,16 +302,17 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     """Evaluate the operator at a point.
 
     A structured target takes the closed form; a black box is one adaptive
-    quadrature of K(x,t) g(t).  Raises DivergentIntegral when u does not
-    exceed the target's growth rate, OperatorOverflow when the value, or a
-    black box inside its integration window, is beyond the double range,
-    and ConvergenceFailure when a black box is not finite there or its
-    integral does not converge.
+    quadrature of K(x,t) g(t), which evaluates the kernel's array form and
+    the black box on all nodes of a refinement round at once.  Raises
+    DivergentIntegral when u does not exceed the target's growth rate,
+    OperatorOverflow when the value, or a black box inside its integration
+    window, is beyond the double range, and ConvergenceFailure when a black
+    box is not finite there or its integral does not converge.
     """
     _check_domain(g, u, x)
     terms = exppoly_terms(g)
     if terms is None:
-        value, inner_err = _blackbox_integral(g, u, x, partial(kernel_value, u, x))
+        value, inner_err = _blackbox_integral(g, u, x, partial(_kernel_values, u, x))
         budget = 0.0
     else:
         value, budget = _closed_form(u, x, terms)
@@ -325,7 +330,8 @@ def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> Operat
     """Operator with the series cut after index j_max: the truncation study.
 
     A structured target sums the series with exact inner integrals; a black
-    box is integrated against the truncated kernel u sum_{j<=J} s_j(x) s_j(t).
+    box is integrated against the truncated kernel u sum_{j<=J} s_j(x) s_j(t),
+    evaluated node by node over each round's node array.
     tail_mass reports the actual neglected Poisson mass, which can be large
     when j_max sits below the mode ux.
     """
@@ -339,12 +345,13 @@ def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> Operat
         live = np.isfinite(lw)  # at x = 0 only j = 0
         j, lw = j[live], lw[live]
 
-        def truncated(t: float) -> float:
-            return u * float(np.sum(np.exp(lw + log_weights(u, t, j))))
+        def truncated(t: np.ndarray) -> np.ndarray:
+            return u * np.array([np.sum(np.exp(lw + log_weights(u, v, j)))
+                                 for v in t.tolist()])
 
         magnitude = BlackBox(lambda t: abs(g(t)), g.growth_rate, g.kinks)
         value, inner_err = _blackbox_integral(g, u, x, truncated)
-        full, full_err = _blackbox_integral(magnitude, u, x, partial(kernel_value, u, x))
+        full, full_err = _blackbox_integral(magnitude, u, x, partial(_kernel_values, u, x))
         cut, cut_err = _blackbox_integral(magnitude, u, x, truncated)
         tail_bound = max(full - cut, 0.0) + full_err + cut_err
     else:
@@ -379,6 +386,15 @@ def kernel_value(u: float, x: float, t: float) -> float:
         return u
     gap = u * (x - t) ** 2 / (root_sum * root_sum)
     return u * math.exp(-gap) * float(i0e(2.0 * u * math.sqrt(x * t)))
+
+
+def _kernel_values(u: float, x: float, t: np.ndarray) -> np.ndarray:
+    """kernel_value at each node of an array t >= 0, by the same operations
+    in numpy; a zero denominator, where x = t = 0, gives the limit u."""
+    root_sum = math.sqrt(x) + np.sqrt(t)
+    denom = root_sum * root_sum
+    gap = u * (x - t) ** 2 / np.where(denom == 0.0, 1.0, denom)
+    return u * np.exp(-gap) * i0e(2.0 * u * np.sqrt(x * t))
 
 
 def kernel_cdf(u: float, x: float, y: float) -> float:

@@ -80,7 +80,7 @@ class BlackBox:
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         if t.ndim:
-            return np.array([self.fn(float(v)) for v in t])
+            return np.array([self.fn(v) for v in t.tolist()])
         return float(self.fn(float(t)))
 
 

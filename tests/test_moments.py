@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import poisson
 
+from szmd import operator, quadrature, report
 from szmd.moments import (
     CentralMomentPoly,
     central_moment,
@@ -182,11 +183,33 @@ class TestBruteforceOracle:
     @pytest.mark.parametrize("u", [5.0, 10.0, 1e4, 1e6])
     @pytest.mark.parametrize("x", [0.0, 0.1, 1.0])
     def test_matches_closed_form_low_orders(self, u, x):
+        want = [exact_central_moment(u, x, m) for m in range(7)]
         for m in range(7):
-            np.testing.assert_allclose(
-                central_moment_bruteforce(u, x, m), exact_central_moment(u, x, m),
-                rtol=1e-9,
-            )
+            np.testing.assert_allclose(central_moment_bruteforce(u, x, m), want[m], rtol=1e-9)
+        # all orders as the columns of one kernel integral
+        np.testing.assert_allclose(central_moment_bruteforce(u, x, range(7)), want, rtol=1e-9)
+
+    def test_verify_check_takes_one_integral_per_point(self, monkeypatch):
+        calls, per_oracle_call = [], []
+        real_integral = quadrature.kernel_integral
+
+        def counting_integral(*args):
+            calls.append(args)
+            return real_integral(*args)
+
+        def counting_oracle(*args):
+            before = len(calls)
+            out = central_moment_bruteforce(*args)
+            per_oracle_call.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(quadrature, "kernel_integral", counting_integral)
+        monkeypatch.setattr(operator, "kernel_integral", counting_integral)
+        monkeypatch.setattr(report, "central_moment_bruteforce", counting_oracle)
+        checks = {c.name: c for c in report.run_verification_suite("spot")}
+        assert checks["central-moment-bruteforce"].passed
+        # 3 u values x 3 points, each with all seven orders in one integral
+        assert per_oracle_call == [1] * 9
 
     @pytest.mark.parametrize("u, x", [(5.0, 0.1), (10.0, 1.0), (100.0, 2.5)])
     def test_matches_per_j_series(self, u, x):

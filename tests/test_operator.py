@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from szmd import operator
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
+    _kernel_values,
     apply,
     apply_truncated,
     kernel_cdf,
     kernel_value,
     parse_rule,
 )
-from szmd.quadrature import DivergentIntegral
+from szmd.quadrature import DivergentIntegral, kernel_integral
 from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum
 
 ONE = BUILTIN_TARGETS["one"]
@@ -133,6 +135,19 @@ class TestOverflow:
         with pytest.raises(OperatorOverflow):
             apply(g, 100.0, 1.0)
 
+    @pytest.mark.parametrize("columns", [(1e308, 1.0), (1.0, 1e308)])
+    def test_two_column_overflow_is_refused(self, columns):
+        # the kernel integral under apply, with a two-column target: the
+        # refusal above holds when only one column overflows
+        def g(t):
+            return np.tile(columns, (len(t), 1))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="kernel integral is not finite"):
+                kernel_integral(partial(_kernel_values, 100.0, 1.0), g,
+                                *operator._blackbox_window(100.0, 1.0, 0.0, ()))
+
     def test_majorant_overflow_leaves_an_infinite_tail_bound(self):
         op = apply_truncated(X2E2X, 3.0, 300.0, 10)
         assert math.isfinite(op.value) and op.tail_bound == math.inf
@@ -191,6 +206,12 @@ class TestApplyTruncated:
 class TestKernel:
     def test_origin_value(self):
         np.testing.assert_allclose(kernel_value(10.0, 0.0, 0.0), 10.0, rtol=1e-15)
+        # the array form takes the same limit at x = t = 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _kernel_values(10.0, 0.0, np.array([0.0, 0.0, 0.5]))
+        assert values[0] == values[1] == 10.0
+        assert values[2] == kernel_value(10.0, 0.0, 0.5)
 
     def test_symmetry(self):
         a = kernel_value(10.0, 1.0, 2.0)

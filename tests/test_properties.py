@@ -18,6 +18,7 @@ from scipy.special import gammainc
 
 from szmd.operator import (
     OperatorOverflow,
+    _kernel_values,
     apply,
     apply_truncated,
     kernel_cdf,
@@ -205,7 +206,12 @@ def test_kernel_matches_bessel(u, x, z):
     with mp.workdps(40):
         mu, mx, mt = mp.mpf(u), mp.mpf(x), mp.mpf(t)
         want = mu * mp.besseli(0, 2 * mu * mp.sqrt(mx * mt)) * mp.exp(-mu * (mx + mt))
-    assert abs(kernel_value(u, x, t) - want) <= 1e-13 * want
+    scalar = kernel_value(u, x, t)
+    # the array form the kernel integral evaluates, at the same node
+    array = float(_kernel_values(u, x, np.array([t, t]))[1])
+    assert abs(scalar - want) <= 1e-13 * want
+    assert abs(array - want) <= 1e-13 * want
+    assert abs(array - scalar) <= 4.0 * math.ulp(scalar)
 
 
 @given(log_uniform(0.01, 1e6), points, deviations, deviations)

@@ -1,13 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
+import szmd
 from szmd import operator
 from szmd.basis import log_weights
 from szmd.operator import apply, apply_truncated
-from szmd.quadrature import ConvergenceFailure, DivergentIntegral, log_exppoly_integrals
+from szmd.quadrature import (
+    ConvergenceFailure,
+    DivergentIntegral,
+    _gk21,
+    kernel_integral,
+    log_exppoly_integrals,
+)
 from szmd.targets import BlackBox, ExpPolySum, MonomialSum
 
 US = (1e2, 1e4, 1e6)
@@ -143,6 +157,25 @@ class TestNumericIntegral:
                                            rtol=1e-12)
 
 
+class TestGaussKronrod:
+    @pytest.mark.parametrize("f, a, b", [
+        (np.sqrt, 0.0, 1.0),
+        (lambda t: np.abs(t - 0.3), 0.0, 1.0),
+        (lambda t: 1.0 / (1.0 + 100.0 * t * t), -1.0, 1.0),
+        (lambda t: np.sin(30.0 * t), 0.0, 2.0),
+    ], ids=["sqrt", "kink", "runge", "oscillating"])
+    def test_one_rule_matches_quadpack(self, f, a, b):
+        # quad with limit=1 returns QUADPACK's qk21 value and error estimate
+        # on [a, b] unrefined; the error estimates here are far above
+        # rounding, so the heuristic must agree to many digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            want, want_err = integrate.quad(lambda t: float(f(np.float64(t))), a, b, limit=1)
+        value, error, _ = _gk21(np.ones_like, f, np.array([a]), np.array([b]))
+        np.testing.assert_allclose(value[0], want, rtol=1e-14)
+        np.testing.assert_allclose(error[0], want_err, rtol=1e-9)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("kinks", [(), (1.0,)])
@@ -158,6 +191,26 @@ class TestNonFinite:
         g = BlackBox(lambda t: math.exp(t) if t < 709.0 else math.inf, growth_rate=1.0)
         with pytest.raises(ConvergenceFailure):
             apply(g, 1.5, 40.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kinks", [(), (1.0,)])
+    def test_one_bad_column_is_refused_at_the_same_node(self, value, kinks):
+        # the kernel integral under apply, with a two-column target whose
+        # second column is not finite past t = 1.5 (the window is [0, 10.5])
+        def two_columns(t):
+            return np.stack([np.ones_like(t), np.where(t > 1.5, value, 1.0)], axis=1)
+
+        def one_column(t):
+            return two_columns(t)[:, 1]
+
+        window = operator._blackbox_window(10.0, 1.0, 0.0, kinks)
+        kernel = partial(operator._kernel_values, 10.0, 1.0)
+        refusals = []
+        for g in (one_column, two_columns):
+            with pytest.raises(ConvergenceFailure, match="target is not finite at t=") as exc:
+                kernel_integral(kernel, g, *window)
+            refusals.append(str(exc.value).split(":")[0])
+        assert refusals[0] == refusals[1]
 
 
 class TestDispatch:
@@ -177,3 +230,13 @@ class TestDispatch:
         assert 0.0 < op.inner_integral_error <= 1e-12
         assert (op.series_terms_used, op.tail_mass, op.tail_bound) == (0, 0.0, 0.0)
 
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the kernel integral is numpy only: importing szmd must not pay for
+    # scipy.integrate
+    code = "import sys, szmd; print('scipy.integrate' in sys.modules)"
+    src = str(Path(szmd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

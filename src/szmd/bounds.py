@@ -5,19 +5,21 @@ All smoothness gauges are grid under-estimates that converge to the true
 supremum from below as the grid step shrinks; every estimate reports the
 step it was computed with.  Total variation is a running sum of |df| along
 one partition, so the bounded-variation bound reads all its nested
-intervals off a single pass.
+intervals off a single pass.  Functions that take arrays are evaluated on
+a whole grid in one call, others point by point.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .moments import central_moment, zeta, zeta_sq
 from .operator import apply
-from .targets import TargetFunction
+from .targets import TargetFunction, map_scalar
 
 
 def _grid_values(g, ts: np.ndarray) -> np.ndarray:
@@ -27,7 +29,7 @@ def _grid_values(g, ts: np.ndarray) -> np.ndarray:
             return vals
     except (TypeError, ValueError):
         pass
-    return np.array([float(g(float(t))) for t in ts])
+    return map_scalar(g, ts)
 
 
 @dataclass(frozen=True)
@@ -48,25 +50,24 @@ def _modulus_grid(delta: float, domain, step):
     if step > delta / 8.0:
         raise ValueError("grid step must be <= delta/8")
     ts = np.arange(lo, hi + 0.5 * step, step)
-    return ts, step, (lo, hi)
+    return ts, step, (lo, hi), int(math.floor(delta / step + 1e-9))
 
 
 def modulus(g, delta: float, domain=None, step=None) -> ModulusEstimate:
     """First modulus of continuity: sup |g(y) - g(x)| over |y - x| <= delta."""
-    ts, step, dom = _modulus_grid(delta, domain, step)
+    ts, step, dom, shifts = _modulus_grid(delta, domain, step)
     vals = _grid_values(g, ts)
-    shifts = int(math.floor(delta / step + 1e-9))
-    best = 0.0
-    for k in range(1, shifts + 1):
-        best = max(best, float(np.max(np.abs(vals[k:] - vals[:-k]))))
+    # the largest gap within shifts + 1 consecutive points is their range
+    width = min(shifts + 1, len(vals))
+    windows = sliding_window_view(vals, width)
+    best = float(np.max(windows.max(axis=1) - windows.min(axis=1)))
     return ModulusEstimate(delta, best, step, dom)
 
 
 def second_modulus(g, delta: float, domain=None, step=None) -> ModulusEstimate:
     """Second modulus: sup |g(x+h) - 2g(x) + g(x-h)| over 0 <= h <= delta."""
-    ts, step, dom = _modulus_grid(delta, domain, step)
+    ts, step, dom, shifts = _modulus_grid(delta, domain, step)
     vals = _grid_values(g, ts)
-    shifts = int(math.floor(delta / step + 1e-9))
     best = 0.0
     for k in range(1, shifts + 1):
         d2 = vals[2 * k :] - 2.0 * vals[k:-k] + vals[: -2 * k]
@@ -189,8 +190,9 @@ def _cumulative_variation(f, lo, hi, samples, breakpoints, ends=()):
     """Partition [lo, hi] and return (grid, cum), cum the running |df| sum.
 
     The grid holds `samples` uniform points, the given ends and each
-    breakpoint bracketed within 1e-6; f is evaluated once per point.  The
-    variation between grid points a < b is cum[b] - cum[a]."""
+    breakpoint bracketed within 1e-6; f takes the whole grid in one call,
+    or one point per call if it only takes scalars.  The variation between
+    grid points a < b is cum[b] - cum[a]."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if samples < 2:
@@ -199,7 +201,7 @@ def _cumulative_variation(f, lo, hi, samples, breakpoints, ends=()):
         t for bp in breakpoints for t in (bp - 1e-6, bp, bp + 1e-6) if lo < t < hi
     ]
     grid = np.unique(np.concatenate((np.linspace(lo, hi, samples), ends, brackets)))
-    vals = np.array([float(f(float(t))) for t in grid])
+    vals = _grid_values(f, grid)
     return grid, np.concatenate(([0.0], np.cumsum(np.abs(np.diff(vals)))))
 
 
@@ -211,8 +213,9 @@ def total_variation(
 ) -> TotalVariationEstimate:
     """Variation sum over a uniform partition, refined near breakpoints.
 
-    Exact for piecewise-monotone f whose breakpoints are declared; otherwise
-    an under-estimate that converges from below as samples grows.
+    f takes the whole partition in one call if it accepts arrays.  Exact for
+    piecewise-monotone f whose breakpoints are declared; otherwise an
+    under-estimate that converges from below as samples grows.
     """
     a, b = float(interval[0]), float(interval[1])
     grid, cum = _cumulative_variation(f, a, b, samples, breakpoints)
@@ -233,19 +236,19 @@ class DbvSpec:
     breakpoints: tuple[float, ...] = ()
 
 
-def recentered_derivative(spec: DbvSpec, x: float) -> Callable[[float], float]:
+def recentered_derivative(spec: DbvSpec, x: float) -> Callable:
     """Derivative recentered at x: g'(t) - g'(x-) below x, 0 at x, and
     g'(t) - g'(x+) above x.  Affine pieces collapse to 0, so its variation
-    isolates the genuinely curved/jumpy part of g'."""
+    isolates the genuinely curved/jumpy part of g'.  The result takes a
+    scalar t, and an array t when spec.gprime_right takes arrays."""
     left_ref = float(spec.gprime_left(x))
     right_ref = float(spec.gprime_right(x))
 
-    def h(t: float) -> float:
-        if t < x:
-            return float(spec.gprime_right(t)) - left_ref
-        if t > x:
-            return float(spec.gprime_right(t)) - right_ref
-        return 0.0
+    def h(t):
+        t = np.asarray(t, dtype=np.float64)
+        d = spec.gprime_right(t)
+        out = np.where(t < x, d - left_ref, np.where(t > x, d - right_ref, 0.0))
+        return out if out.ndim else float(out)
 
     return h
 
@@ -263,14 +266,7 @@ class DbvBound:
     total: float
 
     def terms(self) -> tuple[float, ...]:
-        return (
-            self.derivative_mean,
-            self.derivative_jump,
-            self.variation_left_sum,
-            self.variation_left_edge,
-            self.variation_right_edge,
-            self.variation_right_sum,
-        )
+        return astuple(self)[:-1]
 
 
 def dbv_bound(
@@ -284,7 +280,8 @@ def dbv_bound(
 
     Every variation runs over [x - r, x] or [x, x + r], r = x/j or x/sqrt(u),
     so all are read off one partition of [0, 2x] holding every interval end:
-    O(tv_samples + sqrt(u)) evaluations of g'.  Exact for piecewise-monotone
+    O(tv_samples + sqrt(u)) points, on which a g' that takes arrays is called
+    once and any other once per point.  Exact for piecewise-monotone
     g' with declared breakpoints, else under-estimates that rise to the true
     variation as tv_samples grows.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .report import (
     REFERENCE_NS,
     REFERENCE_XS,
     compare_with_reference,
+    curves_csv,
     format_suite_report,
     format_table_pretty,
     make_curves,
@@ -115,8 +117,6 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         write_curves_csv(series, args.out)
         print(f"wrote {args.out}")
     else:
-        from .report import curves_csv
-
         sys.stdout.write(curves_csv(series))
     return 0
 
@@ -137,10 +137,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     u, x = args.u, args.x
     if args.which == "kfunctional":
         res = bounds_mod.kfunctional_bound(g, u, x)
-        print(f"delta_n = {res.delta_n:.17g}")
-        print(f"gamma_n = {res.gamma_n:.17g}")
-        print(f"omega2_component = {res.omega2_component:.17g}")
-        print(f"omega_component = {res.omega_component:.17g}")
+        for field in fields(res):
+            print(f"{field.name} = {getattr(res, field.name):.17g}")
         print(f"combined (C=1) = {res.combined():.17g}")
     elif args.which == "lipschitz":
         res = bounds_mod.lipschitz_bound_check(g, args.s, u, x)
@@ -157,12 +155,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         b = res.bound
         print(f"lhs = {res.lhs:.17g}")
         print(f"bound_total = {b.total:.17g}")
-        print(f"  derivative_mean = {b.derivative_mean:.17g}")
-        print(f"  derivative_jump = {b.derivative_jump:.17g}")
-        print(f"  variation_left_sum = {b.variation_left_sum:.17g}")
-        print(f"  variation_left_edge = {b.variation_left_edge:.17g}")
-        print(f"  variation_right_edge = {b.variation_right_edge:.17g}")
-        print(f"  variation_right_sum = {b.variation_right_sum:.17g}")
+        for field, term in zip(fields(b), b.terms()):
+            print(f"  {field.name} = {term:.17g}")
         print(f"holds = {res.holds}")
     return 0
 

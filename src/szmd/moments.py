@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -272,17 +272,12 @@ def central_moment_bruteforce(u: float, x: float, m):
     central_moment; the verification suite cross-checks the two.
     """
     # operator imports this module
-    from .operator import _blackbox_window, _kernel_values
-    from .quadrature import kernel_integral
+    from .operator import window_integral
 
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
     orders = np.asarray(m, dtype=np.float64)
-    value, _ = kernel_integral(
-        partial(_kernel_values, u, x),
-        lambda t: np.power.outer(t - x, orders),
-        *_blackbox_window(u, x, 0.0, ()),
-    )
+    value, _ = window_integral(u, x, lambda t: np.power.outer(t - x, orders))
     return value if orders.ndim else float(value)

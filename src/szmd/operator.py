@@ -29,7 +29,7 @@ from scipy.special import chndtr, i0e
 from .basis import log_weights, tail_mass
 from .moments import raw_moment_lambda_coeffs
 from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
-from .targets import BlackBox, TargetFunction, exppoly_terms
+from .targets import TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
 _LN_DBL_MAX = math.log(sys.float_info.max)
@@ -237,17 +237,6 @@ def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float,
     return u * value, u * majorant, _EPS * u * budget
 
 
-def _tail_bound(u: float, x: float, terms, partial: float, partial_budget: float) -> float:
-    """Closed form of the |g|-majorant minus its partial sum, plus both
-    rounding budgets counted twice (majorant and value); inf when the
-    majorant overflows."""
-    try:
-        total, budget = _closed_form(u, x, [(abs(c), m, a) for c, m, a in terms])
-    except OperatorOverflow:
-        return math.inf
-    return max(total - partial, 0.0) + 2.0 * (budget + partial_budget)
-
-
 def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float, list[float]]:
     """Range [lo, hi] and break points for the integral of K(x,t) g(t).
 
@@ -273,15 +262,16 @@ def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float,
     return lo, hi, points
 
 
-def _blackbox_integral(g: BlackBox, u: float, x: float, kernel) -> tuple[float, float]:
-    """Integral of kernel(t) g(t) over the window of K(x,t) g(t), and its
-    error estimate; kernel takes an array of nodes.  OperatorOverflow when
-    g or the integral overflows."""
+def window_integral(u: float, x: float, g, rate: float = 0.0, kinks=(), kernel=None):
+    """Integral of kernel(t) g(t), kernel K(x, .) by default, over the window
+    of a target of growth rate `rate` with break points `kinks`, and its
+    error estimate; g may return k columns per node (see kernel_integral).
+    Shared by apply, apply_truncated and the moment oracle.  Raises
+    OperatorOverflow when g or the integral overflows.
+    """
+    kernel = partial(_kernel_values, u, x) if kernel is None else kernel
     try:
-        value, error = kernel_integral(
-            kernel, g, *_blackbox_window(u, x, g.growth_rate, g.kinks)
-        )
-        return float(value), float(error)
+        return kernel_integral(kernel, g, *_blackbox_window(u, x, rate, kinks))
     except OverflowError as exc:
         raise OperatorOverflow(
             f"black-box integral overflows (u={u}, x={x}): {exc}"
@@ -312,7 +302,7 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     _check_domain(g, u, x)
     terms = exppoly_terms(g)
     if terms is None:
-        value, inner_err = _blackbox_integral(g, u, x, partial(_kernel_values, u, x))
+        value, inner_err = map(float, window_integral(u, x, g, g.growth_rate, g.kinks))
         budget = 0.0
     else:
         value, budget = _closed_form(u, x, terms)
@@ -329,36 +319,57 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
 def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> OperatorValue:
     """Operator with the series cut after index j_max: the truncation study.
 
-    A structured target sums the series with exact inner integrals; a black
+    A structured target sums the series with exact inner integrals.  A black
     box is integrated against the truncated kernel u sum_{j<=J} s_j(x) s_j(t),
-    evaluated node by node over each round's node array.
-    tail_mass reports the actual neglected Poisson mass, which can be large
-    when j_max sits below the mode ux.
+    built on each round's nodes from the weights at x, in one two-column
+    integral with |g|; a second integral, of |g| against the full kernel,
+    gives the tail bound.  tail_mass reports the actual neglected Poisson
+    mass, which can be large when j_max sits below the mode ux.
     """
     _check_domain(g, u, x)
     if j_max < 0:
         raise ValueError(f"J must be >= 0, got {j_max}")
     terms = exppoly_terms(g)
     if terms is None:
-        j = np.arange(0.0, j_max + 1.0)
+        j = np.arange(1.0, j_max + 1.0)
         lw = log_weights(u, x, j)
-        live = np.isfinite(lw)  # at x = 0 only j = 0
-        j, lw = j[live], lw[live]
+        keep = lw > _LN_TINY  # s_j(x) s_j(t) <= s_j(x): the rest underflow
+        j, ln_sq = j[keep], 2.0 * lw[keep]  # none at x = 0
 
         def truncated(t: np.ndarray) -> np.ndarray:
-            return u * np.array([np.sum(np.exp(lw + log_weights(u, v, j)))
-                                 for v in t.tolist()])
+            # j = 0, then ln s_j(t) = ln s_j(x) + j ln(t/x) - u(t - x) in row
+            # blocks of at most 2^20 terms; t/x overflows only for
+            # x < t/DBL_MAX, where the capped terms are below u^2 t/DBL_MAX
+            out = np.exp(-u * (x + t))
+            rows = 2**20 // max(j.size, 1) + 1
+            for k in range(0, t.size if j.size else 0, rows):
+                tk = t[k:k + rows]
+                ln_ratio = np.log1p(np.minimum((tk - x) / x, sys.float_info.max))
+                log_terms = ln_sq + np.multiply.outer(ln_ratio, j) - (u * (tk - x))[:, None]
+                out[k:k + rows] += np.exp(log_terms).sum(axis=1)
+            return u * out
 
-        magnitude = BlackBox(lambda t: abs(g(t)), g.growth_rate, g.kinks)
-        value, inner_err = _blackbox_integral(g, u, x, truncated)
-        full, full_err = _blackbox_integral(magnitude, u, x, partial(_kernel_values, u, x))
-        cut, cut_err = _blackbox_integral(magnitude, u, x, truncated)
-        tail_bound = max(full - cut, 0.0) + full_err + cut_err
+        def columns(t: np.ndarray) -> np.ndarray:
+            gt = g(t)
+            return np.stack([gt, np.abs(gt)], axis=1)
+
+        (value, cut), (inner_err, cut_err) = window_integral(
+            u, x, columns, g.growth_rate, g.kinks, truncated
+        )
+        full, full_err = window_integral(u, x, lambda t: np.abs(g(t)), g.growth_rate, g.kinks)
+        value, inner_err = float(value), float(inner_err)
+        tail_bound = float(max(full - cut, 0.0) + full_err + cut_err)
     else:
         value, majorant, budget = _partial_sums(u, x, terms, j_max)
         if not math.isfinite(value):
             raise OperatorOverflow(f"partial sum to J={j_max} is not finite: {value}")
-        tail_bound = _tail_bound(u, x, terms, majorant, budget)
+        # the |g|-majorant's closed form minus its partial sum, plus both
+        # rounding budgets counted twice (majorant and value)
+        try:
+            total, total_budget = _closed_form(u, x, [(abs(c), m, a) for c, m, a in terms])
+            tail_bound = max(total - majorant, 0.0) + 2.0 * (total_budget + budget)
+        except OperatorOverflow:
+            tail_bound = math.inf
         inner_err = 0.0
     return OperatorValue(
         value=value,

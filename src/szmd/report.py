@@ -170,9 +170,7 @@ def make_curves(
             f"need one truncation index per u: {len(truncation_js)} for "
             f"{len(u_values)} u values"
         )
-    series = [
-        CurveSeries("target", None, None, tuple((float(x), float(g(x))) for x in xs))
-    ]
+    series = [CurveSeries("target", None, None, tuple(zip(xs.tolist(), g(xs).tolist())))]
     for u in u_values:
         pts = tuple((float(x), apply(g, float(u), float(x)).value) for x in xs)
         series.append(CurveSeries(f"u={float(u):g}", float(u), None, pts))
@@ -414,8 +412,8 @@ def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
                          label="|t-1|")
     dbv_abs = bounds_mod.DbvSpec(
         abs_shift,
-        gprime_left=lambda t: -1.0 if t <= 1.0 else 1.0,
-        gprime_right=lambda t: -1.0 if t < 1.0 else 1.0,
+        gprime_left=lambda t: np.where(t <= 1.0, -1.0, 1.0),
+        gprime_right=lambda t: np.where(t < 1.0, -1.0, 1.0),
         breakpoints=(1.0,),
     )
     worst = -math.inf

@@ -79,9 +79,13 @@ class BlackBox:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim:
-            return np.array([self.fn(v) for v in t.tolist()])
-        return float(self.fn(float(t)))
+        return map_scalar(self.fn, t) if t.ndim else float(self.fn(float(t)))
+
+
+def map_scalar(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+    """fn at each entry of the 1-d array t, one Python call per entry: the
+    one place a callable that only takes scalars meets an array of nodes."""
+    return np.array([float(fn(v)) for v in t.tolist()])
 
 
 TargetFunction = Union[MonomialSum, ExpPolySum, BlackBox]

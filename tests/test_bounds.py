@@ -39,6 +39,26 @@ def abs_shift_spec():
     )
 
 
+def abs_shift_array_spec(calls=None):
+    """abs_shift_spec with one-sided derivatives that take arrays; each
+    call's argument is appended to calls when given."""
+
+    def counted(f):
+        def wrapped(t):
+            if calls is not None:
+                calls.append(t)
+            return f(t)
+
+        return wrapped
+
+    return DbvSpec(
+        abs_shift_target(),
+        gprime_left=counted(lambda t: np.where(t <= 1.0, -1.0, 1.0)),
+        gprime_right=counted(lambda t: np.where(t < 1.0, -1.0, 1.0)),
+        breakpoints=(1.0,),
+    )
+
+
 class TestModulus:
     def test_constant_vanishes(self):
         assert modulus(lambda t: 3.0, 0.5).value == 0.0
@@ -63,6 +83,29 @@ class TestModulus:
     def test_step_guard(self):
         with pytest.raises(ValueError):
             modulus(EXPNEG, 0.1, step=0.05)
+
+    @pytest.mark.parametrize("name", ["expneg", "x2e2x", "negx3e5x"])
+    @pytest.mark.parametrize("delta", [0.5, 1e-2, 1e-3])
+    def test_window_range_matches_the_shift_loop_bitwise(self, name, delta):
+        g = BUILTIN_TARGETS[name]
+        est = modulus(g, delta)
+        assert est.value == shift_loop_modulus(g, delta, est.domain, est.grid_step)
+
+    def test_domain_shorter_than_delta_takes_the_whole_range(self):
+        # the grid 0, step, ..., 13 step covers [0, 0.1]; every pair is in reach
+        est = modulus(T, 0.5, domain=(0.0, 0.1), step=0.5 / 64.0)
+        assert est.value == 13 * est.grid_step
+
+
+def shift_loop_modulus(g, delta, domain, step):
+    """Reference first modulus: the largest |g(t + k step) - g(t)| over the
+    shifts k = 1..delta/step, one array pass per shift."""
+    lo, hi = domain
+    vals = g(np.arange(lo, hi + 0.5 * step, step))
+    best = 0.0
+    for k in range(1, int(math.floor(delta / step + 1e-9)) + 1):
+        best = max(best, float(np.max(np.abs(vals[k:] - vals[:-k]))))
+    return best
 
 
 class TestSecondModulus:
@@ -197,6 +240,14 @@ class TestTotalVariation:
         assert total_variation(h, (0.5, 1.0)).value == 0.0
         assert total_variation(h, (1.0, 1.5)).value == 0.0
 
+    def test_recentered_derivative_takes_arrays_and_scalars(self):
+        ts = np.array([0.5, 0.9, 1.0, 1.2, 2.0])
+        for spec in (abs_shift_spec(), abs_shift_array_spec()):
+            h = recentered_derivative(spec, 0.9)
+            assert [h(float(t)) for t in ts] == [0.0, 0.0, 2.0, 2.0, 2.0]
+        h = recentered_derivative(abs_shift_array_spec(), 0.9)
+        assert h(ts).tolist() == [0.0, 0.0, 2.0, 2.0, 2.0]
+
     def test_superadditivity_under_splitting(self):
         f = lambda t: math.sin(3.0 * t)
         whole = total_variation(f, (0.0, 2.0), samples=4096).value
@@ -305,6 +356,28 @@ class TestDbvOnePass:
         spec = DbvSpec(base.g, base.gprime_left, counted, base.breakpoints)
         dbv_bound(spec, 1e6, 0.5)
         assert len(calls) <= 2048 + 2 * 1000 + 10
+
+    @pytest.mark.parametrize("u", [100.0, 1e6])
+    def test_array_derivative_is_called_a_constant_number_of_times(self, u):
+        calls = []
+        dbv_bound(abs_shift_array_spec(calls), u, 0.5)
+        # g'(x-) and g'(x+) twice each, then the whole partition at once
+        assert len(calls) == 5
+        assert max(np.size(t) for t in calls) >= 2048
+
+    @pytest.mark.parametrize("u", [100.0, 400.0, 900.0])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])
+    def test_array_derivative_matches_scalar_bitwise(self, u, x):
+        want = dbv_bound(abs_shift_spec(), u, x)
+        assert dbv_bound(abs_shift_array_spec(), u, x) == want
+
+    @pytest.mark.parametrize("u", [100.0, 400.0])
+    @pytest.mark.parametrize("x", [1.0, 2.5])
+    def test_array_cosine_matches_scalar_bitwise(self, u, x):
+        box = BlackBox(math.sin, growth_rate=0.0)
+        scalar = DbvSpec(box, gprime_left=math.cos, gprime_right=math.cos)
+        array = DbvSpec(box, gprime_left=np.cos, gprime_right=np.cos)
+        assert dbv_bound(array, u, x) == dbv_bound(scalar, u, x)
 
     @pytest.mark.parametrize("u", [100.0, 400.0, 900.0])
     @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])

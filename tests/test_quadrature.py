@@ -232,9 +232,10 @@ class TestDispatch:
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # the kernel integral is numpy only: importing szmd must not pay for
-    # scipy.integrate
-    code = "import sys, szmd; print('scipy.integrate' in sys.modules)"
+    # the kernel integral and the grid gauges are numpy only: importing szmd
+    # must not pay for scipy.integrate or scipy.ndimage
+    code = ("import sys, szmd; "
+            "print('scipy.integrate' in sys.modules or 'scipy.ndimage' in sys.modules)")
     src = str(Path(szmd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -126,6 +126,19 @@ class TestCurves:
         ]
         assert devs[0] > devs[1] > devs[2]
 
+    def test_target_series_is_one_call_on_the_grid(self):
+        shapes = []
+
+        class Counting(type(NEGX3E5X)):
+            def __call__(self, t):
+                shapes.append(np.shape(t))
+                return super().__call__(t)
+
+        grid = np.linspace(0.0, 2.5, 126)
+        series = make_curves(Counting(NEGX3E5X.terms), [15.0], grid)
+        assert shapes == [(126,)]
+        assert series[0].points == tuple((float(x), float(NEGX3E5X(x))) for x in grid)
+
     def test_constant_target_curve_is_flat(self):
         series = make_curves(ONE, [20.0], np.linspace(0.0, 2.0, 11))
         vals = np.array([p[1] for p in series[1].points])

@@ -65,12 +65,12 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
     with j = 0 get exactly -ux; at x = 0 only j = 0 carries weight.
     Raises ValueError for u <= 0, x < 0 or a negative index.
     """
-    if u <= 0.0:
+    if not (u > 0.0):
         raise ValueError(f"basis parameter u must be positive, got {u}")
-    if x < 0.0:
+    if not (x >= 0.0):
         raise ValueError(f"evaluation point x must be >= 0, got {x}")
     j = np.asarray(j, dtype=np.float64)
-    if j.size and j.min() < 0.0:  # cheaper than np.any on short arrays
+    if j.size and not (j.min() >= 0.0):  # cheaper than np.any on short arrays
         raise ValueError(f"basis index j must be >= 0, got {j.min():g}")
     lam = u * x
     if lam == 0.0:

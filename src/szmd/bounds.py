@@ -21,6 +21,9 @@ from .moments import central_moment, zeta, zeta_sq
 from .operator import apply
 from .targets import TargetFunction, map_scalar
 
+# Slack for rounding when a realized error is compared with its bound.
+CHECK_TOL = 1e-9
+
 
 def _grid_values(g, ts: np.ndarray) -> np.ndarray:
     try:
@@ -41,7 +44,7 @@ class ModulusEstimate:
 
 
 def _modulus_grid(delta: float, domain, step):
-    if delta <= 0.0:
+    if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
     lo, hi = domain if domain is not None else (0.0, 2.5 + 4.0 * delta)
     if hi <= lo:
@@ -100,9 +103,9 @@ def kfunctional_bound(g, u: float, x: float, domain=None, step=None) -> KFunctio
     shifted auxiliary operator picks up; gamma_n is the first central
     moment 1/u.
     """
-    if u <= 0.0:
+    if not (u > 0.0):
         raise ValueError(f"u must be positive, got {u}")
-    if x < 0.0:
+    if not (x >= 0.0):
         raise ValueError(f"x must be >= 0, got {x}")
     delta_n = central_moment(u, x, 2) + 1.0 / u**2
     gamma_n = 1.0 / u
@@ -118,7 +121,7 @@ def lipschitz_maximal(g, s: float, x: float, domain=None, step=None) -> float:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order s must lie in (0, 1], got {s}")
-    if x < 0.0:
+    if not (x >= 0.0):
         raise ValueError(f"x must be >= 0, got {x}")
     lo, hi = domain if domain is not None else (0.0, max(2.5, x + 1.0))
     step = step if step is not None else (hi - lo) / 4096.0
@@ -137,23 +140,13 @@ class BoundCheck:
     holds: bool
 
 
-def lipschitz_bound_check(
-    g: TargetFunction,
-    s: float,
-    u: float,
-    x: float,
-    domain=None,
-    step=None,
-    tol: float = 1e-9,
-) -> BoundCheck:
+def lipschitz_bound_check(g: TargetFunction, s: float, u: float, x: float) -> BoundCheck:
     """Check |B(g;x) - g(x)| <= tau_s(g,x) * (second central moment)^{s/2}."""
     op = apply(g, u, x)
     gx = float(g(x))
     lhs = abs(op.value - gx)
-    rhs = lipschitz_maximal(g, s, x, domain=domain, step=step) * central_moment(
-        u, x, 2
-    ) ** (s / 2.0)
-    return BoundCheck(lhs, rhs, lhs <= rhs + tol)
+    rhs = lipschitz_maximal(g, s, x) * central_moment(u, x, 2) ** (s / 2.0)
+    return BoundCheck(lhs, rhs, lhs <= rhs + CHECK_TOL)
 
 
 def lip_space_bound(
@@ -164,14 +157,14 @@ def lip_space_bound(
     The denominator must be positive; at x = 0 or x(x m1 + m2) <= 0 the
     bound is vacuous and a ValueError is raised.
     """
-    if M <= 0.0:
+    if not (M > 0.0):
         raise ValueError(f"constant M must be positive, got {M}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order s must lie in (0, 1], got {s}")
-    if u <= 0.0:
+    if not (u > 0.0):
         raise ValueError(f"u must be positive, got {u}")
     denom = x * (x * m1 + m2)
-    if denom <= 0.0:
+    if not (denom > 0.0):
         raise ValueError(f"bound is vacuous: x(x*m1 + m2) = {denom} <= 0")
     return M * (central_moment(u, x, 2) / denom) ** (s / 2.0)
 
@@ -285,9 +278,9 @@ def dbv_bound(
     g' with declared breakpoints, else under-estimates that rise to the true
     variation as tv_samples grows.
     """
-    if x <= 0.0:
+    if not (x > 0.0):
         raise ValueError("bound has 1/x factors; x must be positive")
-    if u <= 1.0:
+    if not (u > 1.0):
         raise ValueError("need u > 1 so that x - x/sqrt(u) > 0")
     dl = float(spec.gprime_left(x))
     dr = float(spec.gprime_right(x))
@@ -323,18 +316,13 @@ class DbvCheck:
     holds: bool
 
 
-def dbv_empirical_check(
-    spec: DbvSpec,
-    u: float,
-    x: float,
-    tol: float = 1e-9,
-) -> DbvCheck:
+def dbv_empirical_check(spec: DbvSpec, u: float, x: float) -> DbvCheck:
     """Compare the realized error |B(g;x) - g(x)| with the variation bound."""
     op = apply(spec.g, u, x)
     gx = float(spec.g(x))
     lhs = abs(op.value - gx)
     bound = dbv_bound(spec, u, x)
-    return DbvCheck(lhs, bound, lhs <= bound.total + tol)
+    return DbvCheck(lhs, bound, lhs <= bound.total + CHECK_TOL)
 
 
 def korovkin_sup_error(g: TargetFunction, u: float, x_grid) -> float:

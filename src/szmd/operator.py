@@ -57,7 +57,7 @@ class SequenceRule:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            if self.power <= 0.0:
+            if not (self.power > 0.0):
                 raise ValueError("power rule needs a positive exponent")
         elif self.kind == "explicit":
             vals = self.explicit_values
@@ -279,9 +279,9 @@ def window_integral(u: float, x: float, g, rate: float = 0.0, kinks=(), kernel=N
 
 
 def _check_domain(g: TargetFunction, u: float, x: float) -> None:
-    if u <= 0.0:
+    if not (u > 0.0):
         raise ValueError(f"u must be positive, got {u}")
-    if x < 0.0:
+    if not (x >= 0.0):
         raise ValueError(f"x must be >= 0, got {x}")
     rate = getattr(g, "growth_rate", 0.0)
     if u <= rate:
@@ -388,9 +388,9 @@ def kernel_value(u: float, x: float, t: float) -> float:
     is -u (sqrt x - sqrt t)^2 without cancellation, and every operation is
     symmetric in (x, t), so swapping them gives the same bits.
     """
-    if u <= 0.0:
+    if not (u > 0.0):
         raise ValueError(f"u must be positive, got {u}")
-    if x < 0.0 or t < 0.0:
+    if not (x >= 0.0 and t >= 0.0):
         raise ValueError("kernel arguments must be >= 0")
     root_sum = math.sqrt(x) + math.sqrt(t)
     if root_sum == 0.0:
@@ -420,9 +420,9 @@ def kernel_cdf(u: float, x: float, y: float) -> float:
     ux = 100, uy = 0.024), so a small value carries an absolute error of up
     to that size rather than a relative one.
     """
-    if u <= 0.0:
+    if not (u > 0.0):
         raise ValueError(f"u must be positive, got {u}")
-    if x < 0.0 or y < 0.0:
+    if not (x >= 0.0 and y >= 0.0):
         raise ValueError("kernel arguments must be >= 0")
     if y == 0.0:
         return 0.0

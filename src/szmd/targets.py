@@ -77,6 +77,10 @@ class BlackBox:
     kinks: tuple[float, ...] = ()
     label: str = "blackbox"
 
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.growth_rate):
+            raise ValueError(f"growth rate must be finite, got {self.growth_rate}")
+
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         return map_scalar(self.fn, t) if t.ndim else float(self.fn(float(t)))

@@ -50,6 +50,9 @@ class TestRefusals:
         pytest.param("eval --g x2e2x --u 10 --x 1 --J -1", "J must be >= 0",
                      id="negative-J"),
         pytest.param("moments --u 0", "u must be positive", id="moments-zero-u"),
+        pytest.param("moments --u nan --xs 1", "u must be positive", id="moments-nan-u"),
+        pytest.param("moments --u 10 --xs nan", "x must be >= 0", id="moments-nan-x"),
+        pytest.param("eval --g t --u 10 --x nan", "x must be >= 0", id="eval-nan-x"),
         pytest.param("eval --g nosuch### --u 10 --x 1.0", "cannot parse target",
                      id="unknown-target"),
         pytest.param("curve --us 10,20 --J 5", "one truncation index per u",

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -16,6 +17,7 @@ from szmd.moments import (
     central_moments_by_recurrence,
     decay_order_check,
     raw_moment,
+    raw_moment_lambda_coeffs,
     recurrence_step,
     zeta_sq,
 )
@@ -217,6 +219,29 @@ class TestBruteforceOracle:
             np.testing.assert_allclose(
                 central_moment_bruteforce(u, x, m), per_j_series(u, x, m), rtol=1e-8
             )
+
+
+class TestPolynomialStructure:
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 40.0, 1000.0])
+    def test_raw_coefficients_are_laguerre(self, lam):
+        # u^m B(t^m; x) = m! L_m(-ux) (DLMF 18.5.12), here with ux = lam
+        with mp.workdps(80):
+            for m in range(26):
+                got = mp.fsum(a * mp.mpf(lam) ** l
+                              for l, a in enumerate(raw_moment_lambda_coeffs(m)))
+                want = mp.factorial(m) * mp.laguerre(m, 0, -lam)
+                assert abs(got - want) <= mp.mpf("1e-60") * want
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_central_coefficients_are_nonnegative_integers(self, m):
+        # every term is c x^k u^-d with k + d = m and 2k <= m, so mu_m is
+        # O(u^-ceil(m/2)) on compacts, with a sign-free coefficient sum
+        for poly in (central_moment_poly(m), central_moments_by_recurrence(m)[m]):
+            terms = [(k, d, c) for k, dv in poly.coeffs.items() for d, c in dv.items()]
+            assert terms
+            for k, d, c in terms:
+                assert type(c) is int and c > 0
+                assert k + d == m and 2 * k <= m
 
 
 class TestDecayOrder:

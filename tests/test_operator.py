@@ -7,7 +7,9 @@ import pytest
 from scipy import integrate
 from scipy.stats import poisson
 
+import szmd
 from szmd import operator
+from szmd.basis import log_weights
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
@@ -341,3 +343,42 @@ class TestSequenceRule:
         vals = SequenceRule.identity().values(range(1, 20))
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[0] >= 1.0
+
+
+AFFINE_SPEC = szmd.DbvSpec(T, gprime_left=lambda t: 1.0, gprime_right=lambda t: 1.0)
+
+# Each public entry point that takes u or x, as a function of (u, x).
+NAN_ENTRY_POINTS = {
+    "log_weights": lambda u, x: log_weights(u, x, np.arange(3.0)),
+    "raw_moment": lambda u, x: szmd.raw_moment(u, x, 2),
+    "central_moment": lambda u, x: szmd.central_moment(u, x, 2),
+    "central_moment_bruteforce": lambda u, x: szmd.central_moment_bruteforce(u, x, 2),
+    "zeta_sq": szmd.zeta_sq,
+    "zeta": szmd.zeta,
+    "decay_order_check": lambda u, x: szmd.decay_order_check(2, x, [u, 1e3 * u, 1e6 * u]),
+    "apply": lambda u, x: apply(T, u, x),
+    "apply_blackbox": lambda u, x: apply(BlackBox(math.cos, growth_rate=0.0), u, x),
+    "apply_truncated": lambda u, x: apply_truncated(T, u, x, 5),
+    "kernel_value": lambda u, x: kernel_value(u, x, 1.0),
+    "kernel_value_t": lambda u, x: kernel_value(u, 1.0, x),
+    "kernel_cdf": lambda u, x: kernel_cdf(u, x, 1.0),
+    "kernel_cdf_y": lambda u, x: kernel_cdf(u, 1.0, x),
+    "kfunctional_bound": lambda u, x: szmd.kfunctional_bound(EXPNEG, u, x),
+    "lipschitz_maximal": lambda u, x: szmd.lipschitz_maximal(EXPNEG, 1.0, x),
+    "lipschitz_bound_check": lambda u, x: szmd.lipschitz_bound_check(EXPNEG, 1.0, u, x),
+    "lip_space_bound": lambda u, x: szmd.lip_space_bound(1.0, 1.0, 1.0, 1.0, u, x),
+    "dbv_bound": lambda u, x: szmd.dbv_bound(AFFINE_SPEC, u, x),
+    "dbv_empirical_check": lambda u, x: szmd.dbv_empirical_check(AFFINE_SPEC, u, x),
+    "korovkin_sup_error": lambda u, x: szmd.korovkin_sup_error(EXPNEG, u, [x]),
+}
+
+
+@pytest.mark.parametrize("entry, nan_arg", [
+    (entry, arg) for entry in sorted(NAN_ENTRY_POINTS) for arg in ("u", "x")
+    if (entry, arg) != ("lipschitz_maximal", "u")  # takes no u
+])
+def test_nan_argument_is_refused(entry, nan_arg):
+    # NaN fails every comparison, so a check written as u <= 0 lets it through
+    u, x = (math.nan, 1.0) if nan_arg == "u" else (10.0, math.nan)
+    with pytest.raises(ValueError):
+        NAN_ENTRY_POINTS[entry](u, x)

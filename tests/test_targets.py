@@ -101,3 +101,10 @@ class TestStructure:
             MonomialSum(((1.0, -1),))
         with pytest.raises(ValueError):
             ExpPolySum(((1.0, 0, math.inf),))
+
+    @pytest.mark.parametrize("rate", [-math.inf, math.inf, math.nan])
+    def test_blackbox_growth_rate_must_be_finite(self, rate):
+        # -inf would collapse the integration window: apply returned 0 with
+        # zero error for g = 1, whose operator value is 1
+        with pytest.raises(ValueError, match="growth rate must be finite"):
+            BlackBox(lambda t: 1.0, growth_rate=rate)

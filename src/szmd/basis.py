@@ -14,6 +14,16 @@ from scipy.special import gammainc, gammaln
 _LN_2PI = math.log(2.0 * math.pi)
 
 
+def _check_point(u: float, x: float, t: float = 0.0) -> None:
+    """Refuse u outside (0, inf) and x, the kernel's t or y outside [0, inf); NaN too."""
+    if not (0.0 < u < math.inf):
+        raise ValueError(f"u must be positive and finite, got {u}")
+    if not (0.0 <= x < math.inf):
+        raise ValueError(f"x must be >= 0 and finite, got {x}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"kernel point t or y must be >= 0 and finite, got {t}")
+
+
 def _stirling_error(j: np.ndarray) -> np.ndarray:
     """lgamma(j+1) - [(j+1/2)ln j - j + ln(2*pi)/2] for j >= 1."""
     out = np.empty_like(j)
@@ -63,12 +73,10 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
     1.9e-12 at ux = 1e4, j = 12408 and 6.8e-12 at ux = 3e4, j = 37233.
     At ux = 1e4 the far branch holds only weights below ~e^-180.  Entries
     with j = 0 get exactly -ux; at x = 0 only j = 0 carries weight.
-    Raises ValueError for u <= 0, x < 0 or a negative index.
+    Raises ValueError for u outside (0, inf), x outside [0, inf) (NaN
+    included) or a negative index.
     """
-    if not (u > 0.0):
-        raise ValueError(f"basis parameter u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"evaluation point x must be >= 0, got {x}")
+    _check_point(u, x)
     j = np.asarray(j, dtype=np.float64)
     if j.size and not (j.min() >= 0.0):  # cheaper than np.any on short arrays
         raise ValueError(f"basis index j must be >= 0, got {j.min():g}")
@@ -86,6 +94,7 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
 
 def tail_mass(u: float, x: float, j_last: int) -> float:
     """Neglected Poisson mass sum_{j > j_last} s_{u,j}(x)."""
+    _check_point(u, x)
     lam = u * x
     if lam == 0.0:
         return 0.0

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .basis import _check_point
 from .moments import central_moment, zeta, zeta_sq
 from .operator import apply
 from .targets import TargetFunction, map_scalar
@@ -103,10 +104,7 @@ def kfunctional_bound(g, u: float, x: float, domain=None, step=None) -> KFunctio
     shifted auxiliary operator picks up; gamma_n is the first central
     moment 1/u.
     """
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(u, x)
     delta_n = central_moment(u, x, 2) + 1.0 / u**2
     gamma_n = 1.0 / u
     w2 = second_modulus(g, math.sqrt(delta_n) / 2.0, domain=domain, step=step)
@@ -121,8 +119,7 @@ def lipschitz_maximal(g, s: float, x: float, domain=None, step=None) -> float:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order s must lie in (0, 1], got {s}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(1.0, x)  # takes no u
     lo, hi = domain if domain is not None else (0.0, max(2.5, x + 1.0))
     step = step if step is not None else (hi - lo) / 4096.0
     ts = np.arange(lo, hi + 0.5 * step, step)
@@ -161,8 +158,7 @@ def lip_space_bound(
         raise ValueError(f"constant M must be positive, got {M}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order s must lie in (0, 1], got {s}")
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
+    _check_point(u, x)
     denom = x * (x * m1 + m2)
     if not (denom > 0.0):
         raise ValueError(f"bound is vacuous: x(x*m1 + m2) = {denom} <= 0")
@@ -278,6 +274,7 @@ def dbv_bound(
     g' with declared breakpoints, else under-estimates that rise to the true
     variation as tv_samples grows.
     """
+    _check_point(u, x)
     if not (x > 0.0):
         raise ValueError("bound has 1/x factors; x must be positive")
     if not (u > 1.0):

@@ -15,9 +15,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Rational
 
 import numpy as np
+
+from .basis import _check_point
 
 # A polynomial sum_k x^k * sum_d c_{k,d} u^{-d} as {k: {d: c}}.
 PolyXU = dict[int, dict[int, int]]
@@ -38,10 +39,7 @@ def raw_moment(u: float, x: float, m: int) -> float:
     For m = 0..3 this reproduces 1, x + 1/u, (2 + 4xu + x^2 u^2)/u^2 and
     (6 + 18xu + 9x^2 u^2 + x^3 u^3)/u^3.
     """
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(u, x)
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
     coeffs = raw_moment_lambda_coeffs(m)
@@ -71,7 +69,7 @@ class CentralMomentPoly:
             total += cu * x**k
         return total
 
-    def coeff_gap(self, other: "CentralMomentPoly") -> Rational:
+    def coeff_gap(self, other: "CentralMomentPoly") -> int:
         """Largest |coefficient difference| with other, exact."""
         gap = 0
         for k in set(self.coeffs) | set(other.coeffs):
@@ -105,10 +103,7 @@ def central_moment_poly(m: int) -> CentralMomentPoly:
 
 def central_moment(u: float, x: float, m: int) -> float:
     """Central moment of order m at (u, x); 1 for m = 0, 1/u for m = 1."""
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(u, x)
     return central_moment_poly(m).evaluate(u, x)
 
 
@@ -157,10 +152,7 @@ def central_moments_by_recurrence(
 def zeta_sq(u: float, x: float) -> float:
     """The factor with zeta^2(x) = x + 1/u; 2*zeta_sq/u is the second
     central moment."""
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(u, x)
     return x + 1.0 / u
 
 
@@ -187,7 +179,10 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     moment theory guarantees.
     """
     u_grid = np.asarray(sorted(u_grid), dtype=np.float64)
-    if len(u_grid) < 3 or u_grid[-1] / u_grid[0] < 1e3:
+    if len(u_grid) < 3:
+        raise ValueError("u_grid needs at least three values")
+    _check_point(u_grid[0], x)  # central_moment checks the larger u
+    if u_grid[-1] / u_grid[0] < 1e3:
         raise ValueError("u_grid must span at least three decades")
     if not (x > 0.0):
         raise ValueError("decay fit needs x > 0 (all moments vanish at x=0)")
@@ -210,10 +205,7 @@ def central_moment_bruteforce(u: float, x: float, m):
     # operator imports this module
     from .operator import window_integral
 
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(u, x)
     orders = np.asarray(m, dtype=np.float64)
     value, _ = window_integral(u, x, lambda t: np.power.outer(t - x, orders))
     return value if orders.ndim else float(value)

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 from scipy.special import chndtr, i0e
 
-from .basis import log_weights, tail_mass
+from .basis import _check_point, log_weights, tail_mass
 from .moments import raw_moment_lambda_coeffs
 from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import TargetFunction, exppoly_terms
@@ -47,8 +47,8 @@ class SequenceRule:
     """Maps the index n to the operator parameter u_n.
 
     Built-in shapes are u_n = n^p (p = 1 recovers the plain index rule) and
-    an explicit list.  Sequences must be strictly increasing with first
-    value >= 1.
+    an explicit list.  Sequences must be finite and strictly increasing
+    with first value >= 1.
     """
 
     kind: str
@@ -57,14 +57,14 @@ class SequenceRule:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            if not (self.power > 0.0):
-                raise ValueError("power rule needs a positive exponent")
+            if not (0.0 < self.power < math.inf):
+                raise ValueError(f"power rule n^{self.power} needs a positive finite exponent")
         elif self.kind == "explicit":
-            vals = self.explicit_values
-            if not vals or vals[0] < 1.0:
-                raise ValueError("explicit sequence must start at >= 1")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError("explicit sequence must be strictly increasing")
+            vals = self.explicit_values  # NaN fails every comparison below
+            if not (vals and 1.0 <= vals[0] and vals[-1] < math.inf
+                    and all(a < b for a, b in zip(vals, vals[1:]))):
+                raise ValueError(f"explicit rule {list(vals)} must be finite, "
+                                 "strictly increasing and start at >= 1")
         else:
             raise ValueError(f"unknown rule kind {self.kind!r}")
 
@@ -84,7 +84,10 @@ class SequenceRule:
         if self.kind == "power":
             if n < 1:
                 raise ValueError("sequence index n must be >= 1")
-            return float(n) ** self.power
+            try:
+                return float(n) ** self.power
+            except OverflowError:
+                raise ValueError(f"u = {n}^{self.power:g} leaves the double range") from None
         if n < 1 or n > len(self.explicit_values):
             raise ValueError(
                 f"explicit rule has {len(self.explicit_values)} values, got n={n}"
@@ -279,10 +282,7 @@ def window_integral(u: float, x: float, g, rate: float = 0.0, kinks=(), kernel=N
 
 
 def _check_domain(g: TargetFunction, u: float, x: float) -> None:
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_point(u, x)
     rate = getattr(g, "growth_rate", 0.0)
     if u <= rate:
         raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {rate}")
@@ -388,14 +388,15 @@ def kernel_value(u: float, x: float, t: float) -> float:
     is -u (sqrt x - sqrt t)^2 without cancellation, and every operation is
     symmetric in (x, t), so swapping them gives the same bits.
     """
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0 and t >= 0.0):
-        raise ValueError("kernel arguments must be >= 0")
+    _check_point(u, x, t)
     root_sum = math.sqrt(x) + math.sqrt(t)
     if root_sum == 0.0:
         return u
-    gap = u * (x - t) ** 2 / (root_sum * root_sum)
+    try:
+        gap = u * (x - t) ** 2 / (root_sum * root_sum)
+    except OverflowError:  # |x - t| > ~1.3e154: sqrt x - sqrt t squared
+        r = (x - t) / root_sum
+        gap = u * r * r
     return u * math.exp(-gap) * float(i0e(2.0 * u * math.sqrt(x * t)))
 
 
@@ -420,10 +421,7 @@ def kernel_cdf(u: float, x: float, y: float) -> float:
     ux = 100, uy = 0.024), so a small value carries an absolute error of up
     to that size rather than a relative one.
     """
-    if not (u > 0.0):
-        raise ValueError(f"u must be positive, got {u}")
-    if not (x >= 0.0 and y >= 0.0):
-        raise ValueError("kernel arguments must be >= 0")
+    _check_point(u, x, y)
     if y == 0.0:
         return 0.0
     return float(chndtr(2.0 * u * y, 2.0, 2.0 * u * x))

@@ -23,6 +23,8 @@ class MonomialSum:
         for coeff, power in self.terms:
             if power < 0:
                 raise ValueError(f"monomial power must be >= 0, got {power}")
+            if not np.isfinite(coeff):
+                raise ValueError(f"coefficient must be finite, got {coeff}")
 
     @property
     def growth_rate(self) -> float:
@@ -46,6 +48,8 @@ class ExpPolySum:
         for coeff, power, rate in self.terms:
             if power < 0:
                 raise ValueError(f"monomial power must be >= 0, got {power}")
+            if not np.isfinite(coeff):
+                raise ValueError(f"coefficient must be finite, got {coeff}")
             if not np.isfinite(rate):
                 raise ValueError(f"exponential rate must be finite, got {rate}")
 

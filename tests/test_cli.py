@@ -53,6 +53,9 @@ class TestRefusals:
         pytest.param("moments --u nan --xs 1", "u must be positive", id="moments-nan-u"),
         pytest.param("moments --u 10 --xs nan", "x must be >= 0", id="moments-nan-x"),
         pytest.param("eval --g t --u 10 --x nan", "x must be >= 0", id="eval-nan-x"),
+        pytest.param("eval --g t --u inf --x 1", "u must be positive", id="eval-inf-u"),
+        pytest.param("eval --g t --rule n^200 --n 100 --x 1", "double range",
+                     id="eval-u-overflows"),
         pytest.param("eval --g nosuch### --u 10 --x 1.0", "cannot parse target",
                      id="unknown-target"),
         pytest.param("curve --us 10,20 --J 5", "one truncation index per u",

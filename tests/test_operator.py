@@ -9,7 +9,7 @@ from scipy.stats import poisson
 
 import szmd
 from szmd import operator
-from szmd.basis import log_weights
+from szmd.basis import log_weights, tail_mass
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
@@ -261,6 +261,15 @@ class TestKernel:
         b = kernel_value(10.0, 2.0, 1.0)
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
+    @pytest.mark.parametrize("u, near, far, want", [
+        (10.0, 1.0, 1e160, 0.0),
+        # u e^{-u(x+t)} I_0(0) with u(x+t) = 1e-140: the kernel is u
+        (1e-300, 0.0, 1e160, 1e-300),
+    ])
+    def test_far_apart_points(self, u, near, far, want):
+        # (x - t)^2 overflows a double once |x - t| > ~1.3e154
+        assert kernel_value(u, near, far) == kernel_value(u, far, near) == want
+
     def test_integrates_to_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -339,6 +348,20 @@ class TestSequenceRule:
         with pytest.raises(ValueError):
             SequenceRule.from_explicit([1.0, 1.0])  # not strictly increasing
 
+    @pytest.mark.parametrize("make", [
+        lambda: SequenceRule.from_explicit([math.nan, 2.0]),
+        lambda: SequenceRule.from_explicit([1.0, math.nan, 3.0]),
+        lambda: SequenceRule.from_explicit([1.0, math.inf]),
+        lambda: parse_rule("ninf"),
+    ], ids=["explicit-nan-first", "explicit-nan-inside", "explicit-inf", "power-inf"])
+    def test_non_finite_rule_is_refused(self, make):
+        with pytest.raises(ValueError, match=r"(explicit|power) rule"):
+            make()
+
+    def test_u_beyond_double_range_is_refused(self):
+        with pytest.raises(ValueError, match="double range"):
+            parse_rule("n^200").u_value(100)
+
     def test_identity_rule_is_monotone(self):
         vals = SequenceRule.identity().values(range(1, 20))
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -370,15 +393,23 @@ NAN_ENTRY_POINTS = {
     "dbv_bound": lambda u, x: szmd.dbv_bound(AFFINE_SPEC, u, x),
     "dbv_empirical_check": lambda u, x: szmd.dbv_empirical_check(AFFINE_SPEC, u, x),
     "korovkin_sup_error": lambda u, x: szmd.korovkin_sup_error(EXPNEG, u, [x]),
+    "tail_mass": lambda u, x: tail_mass(u, x, 5),
 }
+BAD_VALUES = {"u": (math.nan, math.inf), "x": (math.nan, math.inf, -math.inf)}
 
 
-@pytest.mark.parametrize("entry, nan_arg", [
-    (entry, arg) for entry in sorted(NAN_ENTRY_POINTS) for arg in ("u", "x")
+@pytest.mark.parametrize("entry, bad_arg, bad", [
+    pytest.param(entry, arg, bad, id=f"{entry}-{arg}" + ("" if math.isnan(bad) else f"={bad}"))
+    for entry in sorted(NAN_ENTRY_POINTS) for arg in ("u", "x") for bad in BAD_VALUES[arg]
     if (entry, arg) != ("lipschitz_maximal", "u")  # takes no u
 ])
-def test_nan_argument_is_refused(entry, nan_arg):
-    # NaN fails every comparison, so a check written as u <= 0 lets it through
-    u, x = (math.nan, 1.0) if nan_arg == "u" else (10.0, math.nan)
-    with pytest.raises(ValueError):
+def test_nan_argument_is_refused(entry, bad_arg, bad):
+    # NaN fails every comparison, so a check written as u <= 0 lets it
+    # through; so does inf, which then surfaced as an unrelated error
+    u, x = (bad, 1.0) if bad_arg == "u" else (10.0, bad)
+    if bad_arg == "u":
+        name = "u must be positive"
+    else:  # the second point of kernel_value and kernel_cdf is t or y
+        name = "kernel point" if entry.endswith(("_t", "_y")) else "x must be >= 0"
+    with pytest.raises(ValueError, match=name):
         NAN_ENTRY_POINTS[entry](u, x)

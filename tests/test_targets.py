@@ -102,6 +102,16 @@ class TestStructure:
         with pytest.raises(ValueError):
             ExpPolySum(((1.0, 0, math.inf),))
 
+    @pytest.mark.parametrize("make", [
+        lambda: MonomialSum(((math.inf, 1),)),
+        lambda: ExpPolySum(((math.nan, 0, 1.0),)),
+        lambda: parse_target("1e400*t"),  # the literal rounds to inf
+    ], ids=["monomial-inf", "exppoly-nan", "literal-1e400"])
+    def test_coefficient_must_be_finite(self, make):
+        # an inf coefficient made apply report "ln sum|c_k| B_k = nan"
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            make()
+
     @pytest.mark.parametrize("rate", [-math.inf, math.inf, math.nan])
     def test_blackbox_growth_rate_must_be_finite(self, rate):
         # -inf would collapse the integration window: apply returned 0 with

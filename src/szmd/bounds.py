@@ -44,16 +44,24 @@ class ModulusEstimate:
     domain: tuple[float, float]
 
 
+def _uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi; refuses a domain or step that is not
+    finite, an empty domain and a step that is not positive."""
+    if not (-math.inf < lo < hi < math.inf):
+        raise ValueError(f"domain [{lo}, {hi}] must be finite and nonempty")
+    if not (0.0 < step < math.inf):
+        raise ValueError(f"grid step must be positive and finite, got {step}")
+    return np.arange(lo, hi + 0.5 * step, step)
+
+
 def _modulus_grid(delta: float, domain, step):
-    if not (delta > 0.0):
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     lo, hi = domain if domain is not None else (0.0, 2.5 + 4.0 * delta)
-    if hi <= lo:
-        raise ValueError("empty domain")
     step = step if step is not None else delta / 64.0
     if step > delta / 8.0:
         raise ValueError("grid step must be <= delta/8")
-    ts = np.arange(lo, hi + 0.5 * step, step)
+    ts = _uniform_grid(lo, hi, step)
     return ts, step, (lo, hi), int(math.floor(delta / step + 1e-9))
 
 
@@ -122,7 +130,7 @@ def lipschitz_maximal(g, s: float, x: float, domain=None, step=None) -> float:
     _check_point(1.0, x)  # takes no u
     lo, hi = domain if domain is not None else (0.0, max(2.5, x + 1.0))
     step = step if step is not None else (hi - lo) / 4096.0
-    ts = np.arange(lo, hi + 0.5 * step, step)
+    ts = _uniform_grid(lo, hi, step)
     vals = _grid_values(g, ts)
     gx = float(g(x))
     dist = np.abs(ts - x)
@@ -154,8 +162,10 @@ def lip_space_bound(
     The denominator must be positive; at x = 0 or x(x m1 + m2) <= 0 the
     bound is vacuous and a ValueError is raised.
     """
-    if not (M > 0.0):
-        raise ValueError(f"constant M must be positive, got {M}")
+    if not (0.0 < M < math.inf):
+        raise ValueError(f"constant M must be positive and finite, got {M}")
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise ValueError(f"m1 and m2 must be finite, got m1={m1}, m2={m2}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order s must lie in (0, 1], got {s}")
     _check_point(u, x)
@@ -182,8 +192,8 @@ def _cumulative_variation(f, lo, hi, samples, breakpoints, ends=()):
     breakpoint bracketed within 1e-6; f takes the whole grid in one call,
     or one point per call if it only takes scalars.  The variation between
     grid points a < b is cum[b] - cum[a]."""
-    if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not (-math.inf < lo <= hi < math.inf):
+        raise ValueError(f"interval [{lo}, {hi}] must be finite with lo <= hi")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     brackets = [

@@ -83,13 +83,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     xs = _parse_grid(args.xs) if args.xs else REFERENCE_XS
     ns = [int(n) for n in _parse_floats(args.ns)] if args.ns else REFERENCE_NS
     table = make_error_table(g, rule, xs=xs, ns=ns)
+    mismatches = compare_with_reference(table) if args.paper_check else []
     if args.out:
         write_table_csv(table, args.out)
         print(f"wrote {args.out}")
     else:
         print(format_table_pretty(table))
     if args.paper_check:
-        mismatches = compare_with_reference(table)
         for m in mismatches:
             print(
                 f"MISMATCH rule={m.rule_label} x={m.x} n={m.n}: "

@@ -283,9 +283,8 @@ def window_integral(u: float, x: float, g, rate: float = 0.0, kinks=(), kernel=N
 
 def _check_domain(g: TargetFunction, u: float, x: float) -> None:
     _check_point(u, x)
-    rate = getattr(g, "growth_rate", 0.0)
-    if u <= rate:
-        raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {rate}")
+    if u <= g.growth_rate:
+        raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {g.growth_rate}")
 
 
 def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
@@ -384,12 +383,14 @@ def kernel_value(u: float, x: float, t: float) -> float:
     """Kernel density u * sum_j s_{u,j}(x) s_{u,j}(t); symmetric in (x, t).
 
     The sum is u e^{-u(x+t)} I_0(2u sqrt(xt)) (DLMF 10.25.2), evaluated as
-    u exp(-u (x-t)^2 / (sqrt x + sqrt t)^2) i0e(2u sqrt(xt)): the exponent
-    is -u (sqrt x - sqrt t)^2 without cancellation, and every operation is
-    symmetric in (x, t), so swapping them gives the same bits.
+    u exp(-u (x-t)^2 / (sqrt x + sqrt t)^2) i0e(2u sqrt x sqrt t): the
+    exponent is -u (sqrt x - sqrt t)^2 without cancellation, sqrt x sqrt t
+    stays finite where xt overflows, and every operation is symmetric in
+    (x, t), so swapping them gives the same bits.
     """
     _check_point(u, x, t)
-    root_sum = math.sqrt(x) + math.sqrt(t)
+    root_x, root_t = math.sqrt(x), math.sqrt(t)
+    root_sum = root_x + root_t
     if root_sum == 0.0:
         return u
     try:
@@ -397,16 +398,17 @@ def kernel_value(u: float, x: float, t: float) -> float:
     except OverflowError:  # |x - t| > ~1.3e154: sqrt x - sqrt t squared
         r = (x - t) / root_sum
         gap = u * r * r
-    return u * math.exp(-gap) * float(i0e(2.0 * u * math.sqrt(x * t)))
+    return u * math.exp(-gap) * float(i0e(2.0 * u * (root_x * root_t)))
 
 
 def _kernel_values(u: float, x: float, t: np.ndarray) -> np.ndarray:
     """kernel_value at each node of an array t >= 0, by the same operations
     in numpy; a zero denominator, where x = t = 0, gives the limit u."""
-    root_sum = math.sqrt(x) + np.sqrt(t)
+    root_x, root_t = math.sqrt(x), np.sqrt(t)
+    root_sum = root_x + root_t
     denom = root_sum * root_sum
     gap = u * (x - t) ** 2 / np.where(denom == 0.0, 1.0, denom)
-    return u * np.exp(-gap) * i0e(2.0 * u * np.sqrt(x * t))
+    return u * np.exp(-gap) * i0e(2.0 * u * (root_x * root_t))
 
 
 def kernel_cdf(u: float, x: float, y: float) -> float:

@@ -258,16 +258,21 @@ def compare_with_reference(
     table: ErrorTable, rtol: float = 1e-3
 ) -> list[ReferenceMismatch]:
     """Cells whose absolute error deviates from the published value by more
-    than rtol (relative).  Only defined for the reference target/rules."""
+    than rtol (relative).  Only defined for the reference target and rules,
+    and only for a table with at least one cell on the reference grid."""
     ref = REFERENCE_ABS_ERRORS.get(table.rule.label)
     if ref is None:
         raise ValueError(f"no reference table for rule {table.rule.label!r}")
+    ref_label = target_label(BUILTIN_TARGETS["x2e2x"])
+    if table.g_label != ref_label:
+        raise ValueError(f"reference tables are for g = {ref_label}, not {table.g_label}")
+    cells = [c for c in table.cells if c.x in ref and c.n in REFERENCE_NS]
+    if not cells:
+        raise ValueError(f"no cell on the reference grid x in {REFERENCE_XS}, "
+                         f"n in {REFERENCE_NS}")
     mismatches = []
-    for c in table.cells:
-        row = ref.get(c.x)
-        if row is None or c.n not in REFERENCE_NS:
-            continue
-        want = row[REFERENCE_NS.index(c.n)]
+    for c in cells:
+        want = ref[c.x][REFERENCE_NS.index(c.n)]
         rel = abs(c.abs_error - want) / abs(want)
         if not (rel <= rtol):
             mismatches.append(

@@ -1,6 +1,7 @@
 """Target functions g the operator is applied to.
 
-Structured forms (sums of c * t^m and c * t^m * e^{a t}) unlock exact inner
+The one structured form, ExpPolySum, is a sum of c * t^m * e^{a t}; a
+polynomial is the case where every rate a is 0.  It unlocks exact inner
 integrals; anything else goes through BlackBox with a caller-declared
 exponential growth rate, which the operator needs to certify integrability.
 """
@@ -14,33 +15,9 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MonomialSum:
-    """g(t) = sum of coeff * t^power."""
-
-    terms: tuple[tuple[float, int], ...]
-
-    def __post_init__(self) -> None:
-        for coeff, power in self.terms:
-            if power < 0:
-                raise ValueError(f"monomial power must be >= 0, got {power}")
-            if not np.isfinite(coeff):
-                raise ValueError(f"coefficient must be finite, got {coeff}")
-
-    @property
-    def growth_rate(self) -> float:
-        return 0.0
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        for coeff, power in self.terms:
-            out = out + coeff * t**power
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class ExpPolySum:
-    """g(t) = sum of coeff * t^power * exp(rate * t)."""
+    """g(t) = sum of coeff * t^power * exp(rate * t); a zero rate skips the
+    exponential, so a polynomial evaluates as one."""
 
     terms: tuple[tuple[float, int, float], ...]
 
@@ -61,7 +38,7 @@ class ExpPolySum:
         t = np.asarray(t, dtype=np.float64)
         out = np.zeros_like(t)
         for coeff, power, rate in self.terms:
-            out = out + coeff * t**power * np.exp(rate * t)
+            out = out + coeff * t**power * (np.exp(rate * t) if rate else 1.0)
         return out if out.ndim else float(out)
 
 
@@ -96,16 +73,18 @@ def map_scalar(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
     return np.array([float(fn(v)) for v in t.tolist()])
 
 
-TargetFunction = Union[MonomialSum, ExpPolySum, BlackBox]
+def MonomialSum(terms) -> ExpPolySum:
+    """The polynomial g(t) = sum of coeff * t^power: the ExpPolySum whose
+    terms are the (coeff, power) pairs, each with rate 0.0."""
+    return ExpPolySum(tuple((c, p, 0.0) for c, p in terms))
+
+
+TargetFunction = Union[ExpPolySum, BlackBox]
 
 
 def exppoly_terms(g: TargetFunction) -> tuple[tuple[float, int, float], ...] | None:
     """Canonical (coeff, power, rate) terms, or None when g is a black box."""
-    if isinstance(g, MonomialSum):
-        return tuple((c, m, 0.0) for c, m in g.terms)
-    if isinstance(g, ExpPolySum):
-        return g.terms
-    return None
+    return g.terms if isinstance(g, ExpPolySum) else None
 
 
 def exppoly_derivative(g: TargetFunction) -> ExpPolySum:
@@ -186,8 +165,6 @@ def parse_target(text: str) -> TargetFunction:
         terms.append((coeff, power, rate))
     if not terms:
         raise ValueError(f"unknown target {text!r}")
-    if all(rate == 0.0 for _, _, rate in terms):
-        return MonomialSum(tuple((c, p) for c, p, _ in terms))
     return ExpPolySum(tuple(terms))
 
 
@@ -196,8 +173,7 @@ def target_label(g: TargetFunction) -> str:
     if isinstance(g, BlackBox):
         return g.label
     parts = []
-    for term in exppoly_terms(g) or ():
-        coeff, power, rate = term
+    for coeff, power, rate in g.terms:
         s = f"{coeff:g}"
         if power:
             s += f"*t^{power}" if power > 1 else "*t"

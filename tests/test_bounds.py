@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -448,3 +449,36 @@ class TestKorovkin:
         grid = np.linspace(0.0, 2.5, 11)
         errs = [korovkin_sup_error(EXPNEG, u, grid) for u in (1e2, 1e3, 1e4)]
         assert errs[0] > errs[1] > errs[2]
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: total_variation(EXPNEG, (0.0, NAN)), "interval", id="tv-nan-end"),
+    pytest.param(lambda: total_variation(EXPNEG, (0.0, INF)), "interval", id="tv-inf-end"),
+    pytest.param(lambda: lip_space_bound(INF, 1.0, 1.0, 1.0, 10.0, 1.0), "constant M",
+                 id="lipspace-inf-M"),
+    pytest.param(lambda: lip_space_bound(1.0, INF, 1.0, 1.0, 10.0, 1.0), "m1 and m2",
+                 id="lipspace-inf-m1"),
+    pytest.param(lambda: lip_space_bound(1.0, 1.0, NAN, 1.0, 10.0, 1.0), "m1 and m2",
+                 id="lipspace-nan-m2"),
+    pytest.param(lambda: modulus(EXPNEG, 0.1, step=0.0), "grid step", id="modulus-zero-step"),
+    pytest.param(lambda: modulus(EXPNEG, 0.1, step=-1.0), "grid step",
+                 id="modulus-negative-step"),
+    pytest.param(lambda: modulus(EXPNEG, 0.1, domain=(0.0, NAN)), "domain",
+                 id="modulus-nan-domain"),
+    pytest.param(lambda: second_modulus(EXPNEG, 0.1, domain=(-INF, 1.0)), "domain",
+                 id="second-modulus-inf-domain"),
+    pytest.param(lambda: modulus(EXPNEG, INF), "delta", id="modulus-inf-delta"),
+    pytest.param(lambda: lipschitz_maximal(EXPNEG, 1.0, 1.0, domain=(0.0, INF)), "domain",
+                 id="lipschitz-inf-domain"),
+    pytest.param(lambda: lipschitz_maximal(EXPNEG, 1.0, 1.0, step=0.0), "grid step",
+                 id="lipschitz-zero-step"),
+])
+def test_non_finite_or_degenerate_argument_is_refused(call, name):
+    # each returned a number, raised a RuntimeWarning or an unrelated error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=name):
+            call()

@@ -60,6 +60,12 @@ class TestRefusals:
                      id="unknown-target"),
         pytest.param("curve --us 10,20 --J 5", "one truncation index per u",
                      id="curve-unmatched-J"),
+        pytest.param("table --rule n --xs 0.3,0.7 --paper-check", "no cell on the reference grid",
+                     id="paper-check-off-grid-x"),
+        pytest.param("table --rule n --ns 7 --paper-check", "no cell on the reference grid",
+                     id="paper-check-off-grid-n"),
+        pytest.param("table --g t2 --paper-check", "reference tables are for g",
+                     id="paper-check-other-target"),
     ])
     def test_refused_value_is_one_line_on_stderr(self, capsys, argv, kind):
         code = main(argv.split())

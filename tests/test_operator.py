@@ -2,6 +2,7 @@ import math
 import warnings
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -269,6 +270,17 @@ class TestKernel:
     def test_far_apart_points(self, u, near, far, want):
         # (x - t)^2 overflows a double once |x - t| > ~1.3e154
         assert kernel_value(u, near, far) == kernel_value(u, far, near) == want
+
+    @pytest.mark.parametrize("u, x", [(1.0, 1e160), (1e6, 1e300)])
+    def test_points_whose_product_overflows(self, u, x):
+        # x * t is beyond the double range; sqrt x * sqrt t is not
+        with mp.workdps(40):
+            u_mp, x_mp = mp.mpf(u), mp.mpf(x)
+            want = float(u_mp * mp.exp(-2 * u_mp * x_mp) * mp.besseli(0, 2 * u_mp * x_mp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = (kernel_value(u, x, x), float(_kernel_values(u, x, np.array([x]))[0]))
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_integrates_to_one(self):
         with warnings.catch_warnings():

@@ -54,16 +54,25 @@ class TestParsing:
 
     def test_multi_term_mixed(self):
         g = parse_target("2*t^2 - 0.5*t + 3")
-        assert isinstance(g, MonomialSum)
-        assert g.terms == ((2.0, 2), (-0.5, 1), (3.0, 0))
+        assert isinstance(g, ExpPolySum)
+        assert g.terms == ((2.0, 2, 0.0), (-0.5, 1, 0.0), (3.0, 0, 0.0))
 
     def test_bare_t_and_constant(self):
-        assert parse_target("t").terms == ((1.0, 1),)
-        assert parse_target("3.5").terms == ((3.5, 0),)
+        assert parse_target("t").terms == ((1.0, 1, 0.0),)
+        assert parse_target("3.5").terms == ((3.5, 0, 0.0),)
 
     def test_scientific_notation_survives_splitting(self):
         g = parse_target("1e-2*t + 2.5e+1")
-        assert g.terms == ((0.01, 1), (25.0, 0))
+        assert g.terms == ((0.01, 1, 0.0), (25.0, 0, 0.0))
+
+    def test_polynomial_is_exppoly_with_zero_rates(self):
+        built = MonomialSum(((2.0, 2), (-0.5, 1), (3.0, 0)))
+        parsed = parse_target("2*t^2 - 0.5*t + 3")
+        assert built == parsed == ExpPolySum(((2.0, 2, 0.0), (-0.5, 1, 0.0), (3.0, 0, 0.0)))
+        ts = np.linspace(0.0, 5.0, 101)
+        want = 2.0 * ts**2 + -0.5 * ts**1 + 3.0 * ts**0
+        assert built(ts).tobytes() == want.tobytes()
+        assert [built(float(t)) for t in ts] == want.tolist()
 
     def test_compact_exp_form(self):
         g = parse_target("t*exp(2t)")

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import _check_point
 from .moments import central_moment, zeta, zeta_sq
-from .operator import apply
+from .operator import _apply_grid, apply
 from .targets import TargetFunction, map_scalar
 
 # Slack for rounding when a realized error is compared with its bound.
@@ -334,8 +334,9 @@ def dbv_empirical_check(spec: DbvSpec, u: float, x: float) -> DbvCheck:
 
 def korovkin_sup_error(g: TargetFunction, u: float, x_grid) -> float:
     """sup over the grid of |B(g;x) - g(x)|, the quantity whose decay in u
-    certifies uniform convergence on compacts."""
+    certifies uniform convergence on compacts.  The operator runs first, on
+    the whole grid at once (one array closed form for a structured target),
+    so a NaN, infinite or negative x is refused before g is evaluated."""
     xs = np.asarray(x_grid, dtype=np.float64)
-    gvals = _grid_values(g, xs)
-    errs = [abs(apply(g, u, float(x)).value - gv) for x, gv in zip(xs, gvals)]
-    return float(max(errs))
+    values = _apply_grid(g, u, xs)
+    return float(np.max(np.abs(values - _grid_values(g, xs))))

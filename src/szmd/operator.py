@@ -7,7 +7,11 @@ weights over j gives every exp-poly term the closed form
     B(t^m e^{at}; x) = u (u-a)^{-(m+1)} e^{uax/(u-a)} sum_l A_m[l] L^l,
 
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
-targets never sum the series.  The same sum is the kernel integral
+targets never sum the series.  apply takes it at one point with math
+(_closed_form); a whole x grid, as make_curves and korovkin_sup_error
+evaluate, takes its array twin (_closed_form_grid) in one numpy call,
+which costs more than the scalar form at one point and far less on a
+grid.  The same sum is the kernel integral
 B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
 whose Bessel closed form lets a black box be integrated against it by one
 adaptive quadrature; the quadrature takes the kernel in an array form
@@ -209,6 +213,63 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
     return value, _EPS * big * sum(w * k for w, k in zip(weights, conds))
 
 
+def _log_moment_polys(m: int, lam: np.ndarray) -> np.ndarray:
+    """_log_moment_poly at each entry of the array lam >= 0, by the same
+    Horner steps on the entries with lam <= 1 and on those with lam > 1."""
+    coeffs = [float(c) for c in raw_moment_lambda_coeffs(m)]
+    small = lam <= 1.0
+    big = np.where(small, 1.0, lam)
+    low, inv = np.where(small, lam, 0.0), 1.0 / big
+    acc_low = acc_inv = 0.0
+    for c_low, c_inv in zip(reversed(coeffs), coeffs):
+        acc_low = acc_low * low + c_low
+        acc_inv = acc_inv * inv + c_inv
+    return np.where(small, np.log(acc_low), m * np.log(big) + np.log(acc_inv))
+
+
+def _closed_form_grid(u: float, xs: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """_closed_form at each x of the array xs >= 0: the values and their
+    rounding budgets.
+
+    The exponent's parts are _closed_form's.  The three that do not depend
+    on x, ln|c| + ln u - (m+1) ln(u-a), are summed once per term; uax/(u-a)
+    and the moment polynomial's log are added to them on the whole array,
+    in turn rather than exactly rounded, so a value can differ from
+    _closed_form's in its last bits.  The terms meet in one log-sum-exp
+    over the term axis, and the budget is _closed_form's formula.  Raises
+    OperatorOverflow when sum_k |c_k| B_k exceeds the double range at any x.
+    """
+    logs, signs, conds = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        for c, m, a in terms:
+            if c == 0.0:
+                continue
+            d = u - a
+            head = (math.log(abs(c)), math.log(u), -(m + 1) * math.log(d))
+            tilt = u * a * xs / d
+            poly = _log_moment_polys(m, u * u * xs / d)
+            logs.append(math.fsum(head) + tilt + poly)
+            signs.append(math.copysign(1.0, c))
+            conds.append(2.5 * (sum(abs(p) for p in head) + np.abs(tilt) + np.abs(poly))
+                         + 4.0 * (m + 1))
+        if not logs:
+            return np.zeros_like(xs), np.zeros_like(xs)
+        logs = np.array(logs)
+        top = np.max(logs, axis=0)
+        weights = np.exp(logs - top)
+        log_scale = top + np.log(np.sum(weights, axis=0))
+        big = np.where(log_scale <= _LN_DBL_MAX, np.exp(top), np.inf)
+        value = big * np.sum(np.array(signs)[:, None] * weights, axis=0)
+        budget = _EPS * big * np.sum(weights * np.array(conds), axis=0)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise OperatorOverflow(
+            f"operator value overflows at x={xs[k]}: ln sum|c_k| B_k = {log_scale[k]:.6g}"
+        )
+    return value, budget
+
+
 def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float, float]:
     """Series cut after j_last for sum_k c_k t^m e^{at}: the value, the same
     with |c_k| (the majorant), and the majorant's rounding budget.
@@ -285,6 +346,22 @@ def _check_domain(g: TargetFunction, u: float, x: float) -> None:
     _check_point(u, x)
     if u <= g.growth_rate:
         raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {g.growth_rate}")
+
+
+def _apply_grid(g: TargetFunction, u: float, xs: np.ndarray) -> np.ndarray:
+    """apply(g, u, x).value at each x of the 1-d array xs.
+
+    u, the growth rate and every x are checked before g or the operator is
+    evaluated anywhere: the first x that is NaN, infinite or negative is
+    refused with _check_point's message.  A structured target is one
+    _closed_form_grid call; a black box takes apply at each x.
+    """
+    refused = xs[~((xs >= 0.0) & (xs < math.inf))]
+    _check_domain(g, u, float(refused[0]) if refused.size else 0.0)
+    terms = exppoly_terms(g)
+    if terms is None:
+        return np.array([apply(g, u, x).value for x in xs.tolist()])
+    return _closed_form_grid(u, xs, terms)[0]
 
 
 def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:

@@ -27,6 +27,7 @@ from .moments import (
 from .operator import (
     OperatorOverflow,
     SequenceRule,
+    _apply_grid,
     apply,
     apply_truncated,
     kernel_cdf,
@@ -161,19 +162,29 @@ def make_curves(
     truncation_js=None,
 ) -> list[CurveSeries]:
     """Curve data: the target itself, one series per u, and optionally one
-    truncated series per u, cut at the matching entry of truncation_js."""
+    truncated series per u, cut at the matching entry of truncation_js.
+
+    Each u series is one operator call on the whole grid: one array closed
+    form for a structured target, apply at each x for a black box.  The u
+    series run before the target is evaluated, so a NaN, infinite or
+    negative x is refused before g sees it.  The truncated series take
+    apply_truncated at each x.
+    """
     xs = np.asarray(sorted(float(x) for x in x_grid), dtype=np.float64)
-    if len(xs) < 2 or np.any(np.diff(xs) <= 0.0):
+    # compared, not subtracted: inf - inf would warn before x is refused
+    if len(xs) < 2 or np.any(xs[1:] <= xs[:-1]):
         raise ValueError("x grid must be strictly increasing")
     if truncation_js and len(truncation_js) != len(u_values):
         raise ValueError(
             f"need one truncation index per u: {len(truncation_js)} for "
             f"{len(u_values)} u values"
         )
-    series = [CurveSeries("target", None, None, tuple(zip(xs.tolist(), g(xs).tolist())))]
-    for u in u_values:
-        pts = tuple((float(x), apply(g, float(u), float(x)).value) for x in xs)
-        series.append(CurveSeries(f"u={float(u):g}", float(u), None, pts))
+    grid = xs.tolist()
+    curves = [
+        CurveSeries(f"u={u:g}", u, None, tuple(zip(grid, _apply_grid(g, u, xs).tolist())))
+        for u in map(float, u_values)
+    ]
+    series = [CurveSeries("target", None, None, tuple(zip(grid, g(xs).tolist()))), *curves]
     for u, j_max in zip(u_values, truncation_js) if truncation_js else ():
         pts = tuple(
             (float(x), apply_truncated(g, float(u), float(x), int(j_max)).value)

@@ -14,6 +14,9 @@ from szmd.basis import log_weights, tail_mass
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
+    _apply_grid,
+    _closed_form,
+    _closed_form_grid,
     _kernel_values,
     apply,
     apply_truncated,
@@ -118,12 +121,37 @@ class TestClosedForm:
         kernel_cdf(1e6, 1.0, 1.001)
 
 
+class TestClosedFormGrid:
+    @pytest.mark.parametrize("u", [15.0, 35.0, 50.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("name", ["negx3e5x", "x2e2x", "one", "t", "t2"])
+    def test_matches_the_scalar_form_on_the_curve_grid(self, name, u):
+        # the parts are summed in another order, so the two forms may differ
+        # in their last bits, never by more than the scalar form's budget
+        terms = BUILTIN_TARGETS[name].terms
+        xs = np.linspace(0.0, 2.5, 126)
+        values, budgets = _closed_form_grid(u, xs, terms)
+        for x, value, budget in zip(xs.tolist(), values, budgets):
+            want, want_budget = _closed_form(u, x, terms)
+            assert abs(value - want) <= want_budget
+            assert budget == pytest.approx(want_budget, rel=1e-10)
+
+
 class TestOverflow:
     def test_closed_form_overflow_is_typed(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OperatorOverflow):
                 apply(X2E2X, 3.0, 300.0)
+
+    def test_closed_form_grid_overflow_is_typed(self):
+        # one overflowing point refuses the whole array
+        xs = np.array([0.0, 1.0, 300.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflow, match="x=300"):
+                _closed_form_grid(3.0, xs, X2E2X.terms)
+            with pytest.raises(OperatorOverflow, match="x=300"):
+                _apply_grid(X2E2X, 3.0, xs)
 
     def test_fixed_j_partial_sum_overflow_is_typed(self):
         with warnings.catch_warnings():
@@ -405,6 +433,7 @@ NAN_ENTRY_POINTS = {
     "dbv_bound": lambda u, x: szmd.dbv_bound(AFFINE_SPEC, u, x),
     "dbv_empirical_check": lambda u, x: szmd.dbv_empirical_check(AFFINE_SPEC, u, x),
     "korovkin_sup_error": lambda u, x: szmd.korovkin_sup_error(EXPNEG, u, [x]),
+    "make_curves": lambda u, x: szmd.make_curves(EXPNEG, [u], [0.0, x]),
     "tail_mass": lambda u, x: tail_mass(u, x, 5),
 }
 BAD_VALUES = {"u": (math.nan, math.inf), "x": (math.nan, math.inf, -math.inf)}

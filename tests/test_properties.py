@@ -18,6 +18,8 @@ from scipy.special import gammainc
 
 from szmd.operator import (
     OperatorOverflow,
+    _closed_form,
+    _closed_form_grid,
     _kernel_values,
     apply,
     apply_truncated,
@@ -118,6 +120,25 @@ def test_matches_the_oracle_within_tail_bound(case):
         return
     op = apply(ExpPolySum(terms), u, x)
     assert abs(op.value - want) <= op.tail_bound
+
+
+@given(regimes(), st.lists(uniform(0.0, 4.0), min_size=1, max_size=4))
+def test_closed_form_grid_matches_the_scalar_form(case, spread):
+    # x = 0, and x where L = u^2 x/(u-a) of the fastest-growing term lies
+    # on both sides of 1, where the moment polynomial changes branch
+    terms, u, x = case
+    d = u - max(a for _, _, a in terms)
+    xs = np.array([0.0, x, *(f * d / (u * u) for f in (0.5, 1.0, 2.0, *spread))])
+    try:
+        want = [_closed_form(u, v, terms) for v in xs.tolist()]
+    except OperatorOverflow:
+        assume(False)
+    values, budgets = _closed_form_grid(u, xs, terms)
+    for value, budget, (w_value, w_budget) in zip(values, budgets, want):
+        if w_budget < sys.float_info.min:
+            continue  # a subnormal budget has lost its relative precision
+        assert abs(value - w_value) <= w_budget
+        assert budget == pytest.approx(w_budget, rel=1e-10)
 
 
 @given(regimes(), uniform(-3.0, 3.0))

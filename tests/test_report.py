@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from szmd import operator
+from szmd.bounds import korovkin_sup_error
 from szmd.operator import SequenceRule
 from szmd.report import (
     REFERENCE_ABS_ERRORS,
@@ -139,6 +141,42 @@ class TestCurves:
         assert shapes == [(126,)]
         assert series[0].points == tuple((float(x), float(NEGX3E5X(x))) for x in grid)
 
+    def test_operator_series_is_one_closed_form_call_per_u(self, monkeypatch):
+        shapes, points = [], []
+
+        def counting_grid(u, xs, terms):
+            shapes.append(np.shape(xs))
+            return closed_form_grid(u, xs, terms)
+
+        def counting_point(u, x, terms):
+            points.append(x)
+            return closed_form(u, x, terms)
+
+        closed_form_grid, closed_form = operator._closed_form_grid, operator._closed_form
+        monkeypatch.setattr(operator, "_closed_form_grid", counting_grid)
+        monkeypatch.setattr(operator, "_closed_form", counting_point)
+        make_curves(NEGX3E5X, [15.0, 35.0, 50.0], np.linspace(0.0, 2.5, 126))
+        assert shapes == [(126,)] * 3
+        assert points == []
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("entry", [
+        lambda g, xs: make_curves(g, [15.0], xs),
+        lambda g, xs: korovkin_sup_error(g, 15.0, xs),
+    ], ids=["make_curves", "korovkin_sup_error"])
+    def test_bad_x_is_refused_before_the_target_runs(self, entry, bad):
+        # g(inf) for -t^3 e^{-5t} is inf * 0: a RuntimeWarning, then NaN
+        calls = []
+
+        class Counting(type(NEGX3E5X)):
+            def __call__(self, t):
+                calls.append(np.shape(t))
+                return super().__call__(t)
+
+        with pytest.raises(ValueError, match="x must be >= 0 and finite"):
+            entry(Counting(NEGX3E5X.terms), [0.5, 1.0, bad])
+        assert calls == []
+
     def test_constant_target_curve_is_flat(self):
         series = make_curves(ONE, [20.0], np.linspace(0.0, 2.0, 11))
         vals = np.array([p[1] for p in series[1].points])
@@ -155,6 +193,9 @@ class TestCurves:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             make_curves(ONE, [10.0], [1.0, 1.0, 2.0])
+        # a repeated infinity is refused without taking inf - inf
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make_curves(ONE, [10.0], [math.inf, math.inf])
 
     @pytest.mark.parametrize("js", [[5], [5, 10, 15]])
     def test_one_truncation_index_per_u(self, js):

@@ -334,9 +334,9 @@ def dbv_empirical_check(spec: DbvSpec, u: float, x: float) -> DbvCheck:
 
 def korovkin_sup_error(g: TargetFunction, u: float, x_grid) -> float:
     """sup over the grid of |B(g;x) - g(x)|, the quantity whose decay in u
-    certifies uniform convergence on compacts.  The operator runs first, on
-    the whole grid at once (one array closed form for a structured target),
-    so a NaN, infinite or negative x is refused before g is evaluated."""
+    certifies uniform convergence on compacts.  The operator runs first on
+    the whole grid (one array call), so a NaN, infinite or negative x, or
+    an empty grid, is refused before g is evaluated."""
     xs = np.asarray(x_grid, dtype=np.float64)
     values = _apply_grid(g, u, xs)
     return float(np.max(np.abs(values - _grid_values(g, xs))))

@@ -192,20 +192,20 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     return DecayReport(m, x, slope, limit, slope <= limit + 0.1)
 
 
-def central_moment_bruteforce(u: float, x: float, m):
-    """Reference value: B((t - x)^m; x) as one integral against the kernel.
-
-    m is an order or a sequence of orders; a sequence returns an array with
-    one value per order, all taken from one kernel integral whose target
-    has the columns (t - x)^m, over the window apply uses for a black box
-    of growth rate 0.  The value comes from quadrature of the Bessel-form
-    kernel and shares nothing with the Laguerre-coefficient polynomials of
-    central_moment; the verification suite cross-checks the two.
+def central_moment_bruteforce(u, x, m):
+    """Reference value: B((t - x)^m; x) at the points of the broadcast u
+    and x, for an order m or, on a last axis, a sequence of orders: one
+    batched kernel integral of the columns (t - x)^m, each point over the
+    window apply uses for a black box of growth rate 0.  The value comes
+    from quadrature of the Bessel-form kernel and shares nothing with the
+    Laguerre-coefficient polynomials of central_moment; the verification
+    suite cross-checks the two.
     """
     # operator imports this module
     from .operator import window_integral
 
-    _check_point(u, x)
+    for ui, xi in np.broadcast(u, x):
+        _check_point(ui, xi)
     orders = np.asarray(m, dtype=np.float64)
-    value, _ = window_integral(u, x, lambda t: np.power.outer(t - x, orders))
-    return value if orders.ndim else float(value)
+    value, _ = window_integral(u, x, lambda t, xn: np.power.outer(t - xn, orders))
+    return value if value.ndim else float(value)

@@ -15,7 +15,7 @@ grid.  The same sum is the kernel integral
 B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
 whose Bessel closed form lets a black box be integrated against it by one
 adaptive quadrature; the quadrature takes the kernel in an array form
-(_kernel_values) so that each refinement round is one array call.  The
+(_kernel_values), so a round is one array call for a whole grid.  The
 series is summed only for the fixed-J truncation study.  Every value ships
 with a bound on what its evaluation neglected or rounded.  The kernel's
 distribution function has a noncentral chi-square closed form.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import chndtr, i0e
@@ -181,8 +180,9 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
     the m-th power, the powers of 1/L, 2m operations).  exp turns the
     exponent's absolute error into a relative one, so the budget is
     eps_mach * sum_k |c_k| B_k * (2.5 * sum of the parts' magnitudes +
-    4(m + 1)).  Raises OperatorOverflow when sum_k |c_k| B_k exceeds the
-    double range.
+    4(m + 1)).  Below the normal range eps_mach scales the sum first, and
+    (1 + the terms' summed weights) smallest subnormals cover the rounding onto
+    their grid.  Raises OperatorOverflow when sum_k |c_k| B_k overflows.
     """
     logs, signs, conds = [], [], []
     for c, m, a in terms:
@@ -210,7 +210,10 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
         raise OperatorOverflow(
             f"operator value overflows: ln sum|c_k| B_k = {log_scale:.6g}"
         )
-    return value, _EPS * big * sum(w * k for w, k in zip(weights, conds))
+    cond = sum(w * k for w, k in zip(weights, conds))
+    if big >= sys.float_info.min:
+        return value, _EPS * big * cond
+    return value, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + sum(weights))
 
 
 def _log_moment_polys(m: int, lam: np.ndarray) -> np.ndarray:
@@ -260,7 +263,12 @@ def _closed_form_grid(u: float, xs: np.ndarray, terms) -> tuple[np.ndarray, np.n
         log_scale = top + np.log(np.sum(weights, axis=0))
         big = np.where(log_scale <= _LN_DBL_MAX, np.exp(top), np.inf)
         value = big * np.sum(np.array(signs)[:, None] * weights, axis=0)
-        budget = _EPS * big * np.sum(weights * np.array(conds), axis=0)
+        cond = np.sum(weights * np.array(conds), axis=0)
+        budget = _EPS * big * cond
+        low = big < sys.float_info.min
+        if low.any():
+            floor = math.ulp(0.0) * (1.0 + np.sum(weights, axis=0))
+            budget = np.where(low, big * (_EPS * cond) + floor, budget)
     bad = ~np.isfinite(value)
     if bad.any():
         k = int(np.argmax(bad))
@@ -326,20 +334,20 @@ def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float,
     return lo, hi, points
 
 
-def window_integral(u: float, x: float, g, rate: float = 0.0, kinks=(), kernel=None):
-    """Integral of kernel(t) g(t), kernel K(x, .) by default, over the window
-    of a target of growth rate `rate` with break points `kinks`, and its
-    error estimate; g may return k columns per node (see kernel_integral).
-    Shared by apply, apply_truncated and the moment oracle.  Raises
-    OperatorOverflow when g or the integral overflows.
-    """
-    kernel = partial(_kernel_values, u, x) if kernel is None else kernel
+def window_integral(u, x, g, rate: float = 0.0, kinks=(), kernel=None):
+    """Integrals of kernel(u, x, t) g(t, x), kernel K(x, .) by default, and their
+    error estimates at the points of the broadcast u and x, over the windows of a
+    target of growth rate `rate` with break points `kinks`: one batched
+    kernel_integral, shaped like the broadcast (plus k when g returns k columns).
+    Raises OperatorOverflow when g or an integral overflows."""
+    u, x = np.broadcast_arrays(u, x) if np.shape(u) != np.shape(x) else map(np.asarray, (u, x))
+    windows = [_blackbox_window(ui, xi, rate, kinks)
+               for ui, xi in zip(u.ravel().tolist(), x.ravel().tolist())]
     try:
-        return kernel_integral(kernel, g, *_blackbox_window(u, x, rate, kinks))
+        value, error = kernel_integral(kernel or _kernel_values, g, u.ravel(), x.ravel(), windows)
     except OverflowError as exc:
-        raise OperatorOverflow(
-            f"black-box integral overflows (u={u}, x={x}): {exc}"
-        ) from exc
+        raise OperatorOverflow(f"black-box integral overflows: {exc}") from exc
+    return value.reshape(u.shape + value.shape[1:]), error.reshape(u.shape + error.shape[1:])
 
 
 def _check_domain(g: TargetFunction, u: float, x: float) -> None:
@@ -348,20 +356,27 @@ def _check_domain(g: TargetFunction, u: float, x: float) -> None:
         raise DivergentIntegral(f"operator undefined: u={u} <= growth rate {g.growth_rate}")
 
 
-def _apply_grid(g: TargetFunction, u: float, xs: np.ndarray) -> np.ndarray:
-    """apply(g, u, x).value at each x of the 1-d array xs.
-
-    u, the growth rate and every x are checked before g or the operator is
-    evaluated anywhere: the first x that is NaN, infinite or negative is
-    refused with _check_point's message.  A structured target is one
-    _closed_form_grid call; a black box takes apply at each x.
-    """
+def _apply_grid(g: TargetFunction, u, xs: np.ndarray) -> np.ndarray:
+    """apply(g, u, x).value at each x of the nonempty 1-d array xs, u one value
+    or one per x.  Every u, the growth rate and every x are checked before g or
+    the operator runs anywhere: the first NaN, infinite or negative x is refused
+    with _check_point's message.  A structured target is one _closed_form_grid
+    call per distinct u, a black box one batched kernel integral."""
+    if not xs.size:
+        raise ValueError("x grid is empty")
+    distinct = sorted(set(np.ravel(u).tolist()))
     refused = xs[~((xs >= 0.0) & (xs < math.inf))]
-    _check_domain(g, u, float(refused[0]) if refused.size else 0.0)
+    for v in distinct:
+        _check_domain(g, v, float(refused[0]) if refused.size else 0.0)
     terms = exppoly_terms(g)
     if terms is None:
-        return np.array([apply(g, u, x).value for x in xs.tolist()])
-    return _closed_form_grid(u, xs, terms)[0]
+        return window_integral(u, xs, lambda t, _: g(t), g.growth_rate, g.kinks)[0]
+    if len(distinct) == 1:
+        return _closed_form_grid(distinct[0], xs, terms)[0]
+    values = np.empty_like(xs)
+    for v in distinct:
+        values[np.equal(u, v)] = _closed_form_grid(v, xs[np.equal(u, v)], terms)[0]
+    return values
 
 
 def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
@@ -378,7 +393,8 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     _check_domain(g, u, x)
     terms = exppoly_terms(g)
     if terms is None:
-        value, inner_err = map(float, window_integral(u, x, g, g.growth_rate, g.kinks))
+        value, inner_err = map(float, window_integral(u, x, lambda t, _: g(t), g.growth_rate,
+                                                      g.kinks))
         budget = 0.0
     else:
         value, budget = _closed_form(u, x, terms)
@@ -412,7 +428,7 @@ def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> Operat
         keep = lw > _LN_TINY  # s_j(x) s_j(t) <= s_j(x): the rest underflow
         j, ln_sq = j[keep], 2.0 * lw[keep]  # none at x = 0
 
-        def truncated(t: np.ndarray) -> np.ndarray:
+        def truncated(_u, _x, t: np.ndarray) -> np.ndarray:
             # j = 0, then ln s_j(t) = ln s_j(x) + j ln(t/x) - u(t - x) in row
             # blocks of at most 2^20 terms; t/x overflows only for
             # x < t/DBL_MAX, where the capped terms are below u^2 t/DBL_MAX
@@ -425,14 +441,13 @@ def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> Operat
                 out[k:k + rows] += np.exp(log_terms).sum(axis=1)
             return u * out
 
-        def columns(t: np.ndarray) -> np.ndarray:
+        def columns(t: np.ndarray, _) -> np.ndarray:
             gt = g(t)
             return np.stack([gt, np.abs(gt)], axis=1)
 
-        (value, cut), (inner_err, cut_err) = window_integral(
-            u, x, columns, g.growth_rate, g.kinks, truncated
-        )
-        full, full_err = window_integral(u, x, lambda t: np.abs(g(t)), g.growth_rate, g.kinks)
+        (value, cut), (inner_err, cut_err) = window_integral(u, x, columns, g.growth_rate,
+                                                             g.kinks, truncated)
+        full, full_err = window_integral(u, x, lambda t, _: np.abs(g(t)), g.growth_rate, g.kinks)
         value, inner_err = float(value), float(inner_err)
         tail_bound = float(max(full - cut, 0.0) + full_err + cut_err)
     else:
@@ -478,13 +493,12 @@ def kernel_value(u: float, x: float, t: float) -> float:
     return u * math.exp(-gap) * float(i0e(2.0 * u * (root_x * root_t)))
 
 
-def _kernel_values(u: float, x: float, t: np.ndarray) -> np.ndarray:
-    """kernel_value at each node of an array t >= 0, by the same operations
-    in numpy; a zero denominator, where x = t = 0, gives the limit u."""
-    root_x, root_t = math.sqrt(x), np.sqrt(t)
+def _kernel_values(u, x, t: np.ndarray) -> np.ndarray:
+    """kernel_value at nodes t >= 0 by the same operations in numpy, u and x one
+    value or one per node; the denominator is kept >= DBL_MIN, below which (x-t)^2 = 0."""
+    root_x, root_t = np.sqrt(x), np.sqrt(t)
     root_sum = root_x + root_t
-    denom = root_sum * root_sum
-    gap = u * (x - t) ** 2 / np.where(denom == 0.0, 1.0, denom)
+    gap = u * (x - t) ** 2 / np.maximum(root_sum * root_sum, sys.float_info.min)
     return u * np.exp(-gap) * i0e(2.0 * u * (root_x * root_t))
 
 

@@ -3,14 +3,13 @@
 Exp-poly targets have gamma-function closed forms for their integrals
 against the basis (log_exppoly_integrals).  Black boxes are integrated
 against the operator's kernel by one adaptive Gauss-Kronrod quadrature
-(kernel_integral) that evaluates the kernel and the target on every node of
-a refinement round in one array call.
+(kernel_integral) that evaluates them on every node of a batch of (u, x)
+points in one array call per refinement round.
 """
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -85,87 +84,115 @@ def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarr
     return out
 
 
-def _gk21(kernel, g, a: np.ndarray, b: np.ndarray):
-    """Kronrod value, error estimate and rounding floor of kernel(t) g(t) on
-    each [a_i, b_i], with QUADPACK qk21's error heuristic.
-
-    The arrays have shape (n,) for a target with one value per node and
-    (k, n) for one with k columns.  Raises ConvergenceFailure at the first
-    node where the target is not finite.
-    """
+def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray, segments):
+    """Kronrod value, error estimate and rounding floor of kernel(u, x, t) g(t, x)
+    on each [a_i, b_i] of the point (u_i, x_i), with QUADPACK qk21's error
+    heuristic: arrays of shape (n,), or (k, n) for a target with k columns.
+    BLAS rounds a row of a matrix product by where it falls in it, so the
+    rule sums are one product per point, over the (start, end) of its
+    subintervals in segments, as for the point alone.  Raises
+    ConvergenceFailure at the first node where the target is not finite."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t = (centre[:, None] + half[:, None] * _NODES).ravel()
-    gt = np.asarray(g(t), dtype=np.float64)
-    finite = np.isfinite(gt).reshape(len(t), -1).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ConvergenceFailure(f"target is not finite at t={t[i]}: {gt[i]}")
-    f = (kernel(t) * gt.T).reshape(gt.shape[1:] + (len(a), len(_NODES)))
-    resk = f @ _KRONROD
-    resabs = np.abs(f) @ _KRONROD * half  # half >= 0: the pieces ascend
-    resasc = np.abs(f - 0.5 * resk[..., None]) @ _KRONROD * half
-    error = np.abs(resk - f @ _GAUSS) * half
+    un, xn = u.repeat(len(_NODES)), x.repeat(len(_NODES))
+    gt = np.asarray(g(t, xn), dtype=np.float64)
+    if not np.isfinite(gt).all():
+        i = int(np.argmin(np.isfinite(gt).reshape(len(t), -1).all(axis=1)))
+        raise ConvergenceFailure(
+            f"target is not finite at t={t[i]} (u={un[i]}, x={xn[i]}): {gt[i]}"
+        )
+    f = (kernel(un, xn, t) * gt.T).reshape(gt.shape[1:] + (len(a), len(_NODES)))
+
+    def rule(values, weights):
+        return values @ weights if len(segments) == 1 else np.concatenate(
+            [values[..., s:e, :] @ weights for s, e in segments], axis=-1)
+
+    resk = rule(f, _KRONROD)
+    resabs = rule(np.abs(f), _KRONROD) * half  # half >= 0: the pieces ascend
+    resasc = rule(np.abs(f - 0.5 * resk[..., None]), _KRONROD) * half
+    error = np.abs(resk - rule(f, _GAUSS)) * half
     error = np.where((resasc != 0.0) & (error != 0.0),
                      resasc * np.minimum(1.0, (200.0 * error / resasc) ** 1.5), error)
     floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
     return resk * half, np.maximum(error, floor), floor
 
 
-def kernel_integral(
-    kernel: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    points: list[float],
-):
-    """Integral of kernel(t) g(t) over [lo, hi] and its error estimate.
+def _segments(prob: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """(start, end) of each of the size points present in sorted prob."""
+    if size == 1:
+        return [(0, len(prob))]
+    cuts = np.searchsorted(prob, np.arange(size + 1)).tolist()
+    return [(s, e) for s, e in zip(cuts[:-1], cuts[1:]) if e > s]
 
-    kernel and g take an array of nodes.  g returns one value per node, or
-    k columns per node, in which case the value and the error are arrays of
-    k; the columns share the subintervals, and each is refined and refused
-    as if it were alone.
 
-    Adaptive 21-point Gauss-Kronrod quadrature that starts from the pieces
-    the break points cut [lo, hi] into.  Each round bisects, in one array
-    call, every subinterval whose error estimate exceeds both its length's
-    share of 1e-13 |integral| and its rounding floor, until the total error
-    is below 1e-13 |integral|, no subinterval qualifies, or there are 200.
-    Raises ConvergenceFailure when g is not finite at a node or the error
-    estimate exceeds 1e-6 |value|, and OverflowError when g raises it or
-    the integral leaves the double range.
-    """
-    a = np.array([lo, *points], dtype=np.float64)
-    b = np.array([*points, hi], dtype=np.float64)
+def kernel_integral(kernel, g, u, x, windows):
+    """Integrals of kernel(u, x, t) g(t, x) at a batch of points (u[i], x[i]),
+    each over its window windows[i] = (lo, hi, break points), and their
+    error estimates.  kernel and g take nodes with each node's u and x; g
+    returns one value per node, or k columns (results of shape (P, k)) that
+    share the subintervals and are each refined and refused as if alone.
+
+    Adaptive 21-point Gauss-Kronrod quadrature from the pieces the break
+    points cut each window into.  Each round bisects, in one _gk21 call,
+    every subinterval whose error estimate exceeds both its length's share
+    of 1e-13 |integral| and its rounding floor, until for each point the
+    total error is below 1e-13 |integral|, no subinterval qualifies, or
+    there are 200.  A subinterval carries its point's index; budgets,
+    splits, sums and the cap are per point, so each is refined and rounded
+    bit for bit as if alone.  Raises ConvergenceFailure when g is not finite
+    at a node or an error estimate exceeds 1e-6 |value|, and OverflowError
+    when g raises it or an integral leaves the double range, naming u, x."""
+    u, x = np.asarray(u, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    size, width = len(windows), np.array([hi - lo for lo, hi, _ in windows])
+    prob, a, b = (np.array(c) for c in zip(*(
+        (i, lo, hi) for i, (start, end, points) in enumerate(windows)
+        for lo, hi in zip((start, *points), (*points, end)))))
     with np.errstate(all="ignore"):
-        value, error, floor = _gk21(kernel, g, a, b)
-        while len(a) < _LIMIT:
-            budget = _REL_TOL * np.abs(value.sum(axis=-1))[..., None]
-            split = (error > budget * ((b - a) / (hi - lo))) & (error > floor)
-            split &= error.sum(axis=-1)[..., None] > budget
+        segments = _segments(prob, size)
+        value, error, floor = _gk21(kernel, g, u[prob], x[prob], a, b, segments)
+        while True:
+            total, total_error = (v.sum(axis=-1)[..., None] if size == 1 else np.array(
+                [v[..., s:e].sum(axis=-1) for s, e in segments]).T for v in (value, error))
+            budget = _REL_TOL * np.abs(total)
+            split = (error > budget[..., prob] * ((b - a) / width[prob])) & (error > floor)
+            split &= (total_error > budget)[..., prob]
             idx = np.flatnonzero(split.reshape(-1, len(a)).any(axis=0))
+            if idx.size + len(a) > _LIMIT:
+                # a point that would pass 200 splits its worst ones only
+                room = _LIMIT - np.array([e - s for s, e in segments])
+                for p in np.flatnonzero(np.bincount(prob[idx], minlength=size) > room):
+                    mine, other = idx[prob[idx] == p], idx[prob[idx] != p]
+                    worst = error.reshape(-1, len(a))[:, mine].max(axis=0)
+                    idx = np.concatenate([other, mine[np.argsort(worst)[::-1][:room[p]]]])
             if not idx.size:
                 break
-            if idx.size > _LIMIT - len(a):
-                worst = error.reshape(-1, len(a))[:, idx].max(axis=0)
-                idx = idx[np.argsort(worst)[::-1][:_LIMIT - len(a)]]
+            # the halves of each point together, left ones first
+            halves = np.concatenate([prob[idx], prob[idx]])
             mid = 0.5 * (a[idx] + b[idx])
+            na, nb = np.concatenate([a[idx], mid]), np.concatenate([mid, b[idx]])
+            order = np.argsort(halves, kind="stable") if size > 1 else slice(None)
+            halves, na, nb = halves[order], na[order], nb[order]
+            fresh = _gk21(kernel, g, u[halves], x[halves], na, nb, _segments(halves, size))
             keep = np.ones(len(a), dtype=bool)
             keep[idx] = False
-            na, nb = np.concatenate([a[idx], mid]), np.concatenate([mid, b[idx]])
-            fresh = _gk21(kernel, g, na, nb)
             a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
-            value, error, floor = (
-                np.concatenate([old[..., keep], new], axis=-1)
-                for old, new in zip((value, error, floor), fresh)
-            )
-        total, total_error = value.sum(axis=-1), error.sum(axis=-1)
-        if not (np.all(np.isfinite(total)) and np.all(np.isfinite(total_error))):
-            raise OverflowError(
-                f"kernel integral is not finite: {total} with error {total_error}"
-            )
-        if np.any(total_error > _MAX_REL_ERROR * np.abs(total)):
-            raise ConvergenceFailure(
-                f"kernel integral did not converge: estimate {total} with error {total_error}"
-            )
-    return total, total_error
+            prob = np.concatenate([prob[keep], halves])
+            value, error, floor = (np.concatenate([old[..., keep], new], axis=-1)
+                                   for old, new in zip((value, error, floor), fresh))
+            if size > 1:
+                order = np.argsort(prob, kind="stable")
+                a, b, prob = a[order], b[order], prob[order]
+                # take returns rows in C order, which numpy sums pairwise as
+                # it does the point's own array; v[..., order] would not
+                value, error, floor = (np.take(v, order, axis=-1) for v in (value, error, floor))
+            segments = _segments(prob, size)
+        bad = ~(np.isfinite(total) & np.isfinite(total_error))
+        loose = total_error > _MAX_REL_ERROR * np.abs(total)
+    for hit, refusal, what in ((bad, OverflowError, "is not finite"),
+                               (loose, ConvergenceFailure, "did not converge")):
+        if hit.any():
+            p = int(np.argmax(hit.reshape(-1, size).any(axis=0)))
+            raise refusal(f"kernel integral {what} at u={u[p]}, x={x[p]}: "
+                          f"estimate {total[..., p]} with error {total_error[..., p]}")
+    return total.T, total_error.T

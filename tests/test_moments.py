@@ -191,27 +191,39 @@ class TestBruteforceOracle:
         # all orders as the columns of one kernel integral
         np.testing.assert_allclose(central_moment_bruteforce(u, x, range(7)), want, rtol=1e-9)
 
-    def test_verify_check_takes_one_integral_per_point(self, monkeypatch):
-        calls, per_oracle_call = [], []
+    def test_verify_check_takes_one_integral_for_all_points(self, monkeypatch):
+        calls, oracle_calls = [], []
         real_integral = quadrature.kernel_integral
 
         def counting_integral(*args):
-            calls.append(args)
+            calls.append(len(args[2]))
             return real_integral(*args)
 
         def counting_oracle(*args):
-            before = len(calls)
-            out = central_moment_bruteforce(*args)
-            per_oracle_call.append(len(calls) - before)
-            return out
+            oracle_calls.append(args)
+            return central_moment_bruteforce(*args)
 
         monkeypatch.setattr(quadrature, "kernel_integral", counting_integral)
         monkeypatch.setattr(operator, "kernel_integral", counting_integral)
         monkeypatch.setattr(report, "central_moment_bruteforce", counting_oracle)
-        checks = {c.name: c for c in report.run_verification_suite("spot")}
+        checks = {c.name: c for c in report.run_verification_suite("none")}
         assert checks["central-moment-bruteforce"].passed
-        # 3 u values x 3 points, each with all seven orders in one integral
-        assert per_oracle_call == [1] * 9
+        # 3 u values x 3 points, all seven orders, in one oracle call and
+        # one batched integral; the other batch of nine is the DBV check's
+        assert len(oracle_calls) == 1
+        us, xs, orders = oracle_calls[0]
+        assert (len(us), len(xs), list(orders)) == (9, 9, list(range(7)))
+        assert calls == [9, 9]
+
+    def test_batched_points_match_one_call_per_point(self):
+        us = np.array([5.0, 10.0, 100.0, 1e4])
+        xs = np.array([0.0, 0.1, 1.0, 2.5])
+        batch = central_moment_bruteforce(us, xs, range(7))
+        assert batch.shape == (4, 7)
+        for row, u, x in zip(batch, us, xs):
+            alone = central_moment_bruteforce(u, x, range(7))
+            np.testing.assert_allclose(row, alone, rtol=1e-13, atol=1e-300)
+        assert central_moment_bruteforce(us, xs, 2).shape == (4,)
 
     @pytest.mark.parametrize("u, x", [(5.0, 0.1), (10.0, 1.0), (100.0, 2.5)])
     def test_matches_per_j_series(self, u, x):

@@ -1,6 +1,6 @@
 import math
+import sys
 import warnings
-from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +33,7 @@ T2 = BUILTIN_TARGETS["t2"]
 X2E2X = BUILTIN_TARGETS["x2e2x"]
 NEGX3E5X = BUILTIN_TARGETS["negx3e5x"]
 EXPNEG = BUILTIN_TARGETS["expneg"]
+SMALLEST_SUBNORMAL = sys.float_info.min * sys.float_info.epsilon
 
 
 class TestApply:
@@ -121,6 +122,66 @@ class TestClosedForm:
         kernel_cdf(1e6, 1.0, 1.001)
 
 
+    def test_subnormal_values_keep_a_nonzero_budget(self):
+        # eps times a subnormal largest term underflows to 0; the budget
+        # scales eps first and adds a floor of smallest subnormals
+        op = apply(ExpPolySum(((1.0, 0, -1.0),)), 1.0, 1480.0)
+        with mp.workdps(40):
+            want = float(mp.exp(-740) / 2)  # u/(u+1) e^{-ux/(u+1)}
+        assert 0.0 < op.value < sys.float_info.min
+        assert 0.0 < op.tail_bound <= 8 * SMALLEST_SUBNORMAL
+        assert abs(op.value - want) <= op.tail_bound
+        # the scalar and the array form of -0.1 t e^{-3.53125 t} differ in
+        # their last subnormal bits; each budget covers both and the oracle
+        terms = ((-0.1, 1, -3.53125),)
+        value, budget = _closed_form(0.01, 70825.0, terms)
+        values, budgets = _closed_form_grid(0.01, np.array([70825.0]), terms)
+        with mp.workdps(40):
+            u, x, a = mp.mpf(0.01), mp.mpf(70825), mp.mpf(-3.53125)
+            want = float(-0.1 * u * (u - a) ** -2 * mp.exp(-u * x)
+                         * mp.hyp1f1(2, 1, u * u * x / (u - a)))
+        assert 0.0 < abs(value) < sys.float_info.min
+        assert budget > 0.0 and budgets[0] > 0.0
+        assert abs(values[0] - value) <= min(budget, budgets[0])
+        assert abs(value - want) <= budget and abs(values[0] - want) <= budgets[0]
+
+
+class TestApplyGrid:
+    @pytest.mark.parametrize("g", [ONE, BlackBox(lambda t: abs(t - 1.0), 0.0, kinks=(1.0,))],
+                             ids=["structured", "blackbox"])
+    def test_empty_grid_is_refused(self, g):
+        with pytest.raises(ValueError, match="x grid is empty"):
+            _apply_grid(g, 10.0, np.array([]))
+        with pytest.raises(ValueError, match="x grid is empty"):
+            szmd.korovkin_sup_error(g, 10.0, [])
+
+    def test_blackbox_is_one_kernel_integral_per_u(self, monkeypatch):
+        sizes = []
+        real = operator.kernel_integral
+
+        def counting(kernel, g, u, x, windows):
+            sizes.append(len(u))
+            return real(kernel, g, u, x, windows)
+
+        monkeypatch.setattr(operator, "kernel_integral", counting)
+        g = BlackBox(lambda t: abs(t - 1.0), growth_rate=0.0, kinks=(1.0,))
+        xs = np.linspace(0.0, 2.5, 26)
+        values = _apply_grid(g, 100.0, xs)
+        assert sizes == [26]
+        monkeypatch.setattr(operator, "kernel_integral", real)
+        assert values.tolist() == [apply(g, 100.0, x).value for x in xs.tolist()]
+
+    def test_one_u_per_x(self):
+        us, xs = np.array([10.0, 100.0, 10.0, 1e4]), np.array([0.5, 1.0, 2.0, 0.0])
+        g = BlackBox(lambda t: math.exp(-t), growth_rate=0.0)
+        for target in (EXPNEG, g):
+            got = _apply_grid(target, us, xs)
+            assert got.tolist() == [apply(target, u, x).value for u, x in zip(us, xs)]
+            assert _apply_grid(target, us.tolist(), xs).tolist() == got.tolist()
+        with pytest.raises(DivergentIntegral):
+            _apply_grid(X2E2X, np.array([10.0, 2.0]), np.array([1.0, 1.0]))
+
+
 class TestClosedFormGrid:
     @pytest.mark.parametrize("u", [15.0, 35.0, 50.0, 1e2, 1e4, 1e6])
     @pytest.mark.parametrize("name", ["negx3e5x", "x2e2x", "one", "t", "t2"])
@@ -170,14 +231,15 @@ class TestOverflow:
     def test_two_column_overflow_is_refused(self, columns):
         # the kernel integral under apply, with a two-column target: the
         # refusal above holds when only one column overflows
-        def g(t):
+        def g(t, x):
             return np.tile(columns, (len(t), 1))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="kernel integral is not finite"):
-                kernel_integral(partial(_kernel_values, 100.0, 1.0), g,
-                                *operator._blackbox_window(100.0, 1.0, 0.0, ()))
+            with pytest.raises(OverflowError,
+                               match=r"kernel integral is not finite at u=100.0, x=1.0"):
+                kernel_integral(_kernel_values, g, [100.0], [1.0],
+                                [operator._blackbox_window(100.0, 1.0, 0.0, ())])
 
     def test_majorant_overflow_leaves_an_infinite_tail_bound(self):
         op = apply_truncated(X2E2X, 3.0, 300.0, 10)

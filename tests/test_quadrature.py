@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import partial
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +171,8 @@ class TestGaussKronrod:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             want, want_err = integrate.quad(lambda t: float(f(np.float64(t))), a, b, limit=1)
-        value, error, _ = _gk21(np.ones_like, f, np.array([a]), np.array([b]))
+        value, error, _ = _gk21(lambda u, x, t: np.ones_like(t), lambda t, x: f(t),
+                                np.zeros(1), np.zeros(1), np.array([a]), np.array([b]), [(0, 1)])
         np.testing.assert_allclose(value[0], want, rtol=1e-14)
         np.testing.assert_allclose(error[0], want_err, rtol=1e-9)
 
@@ -197,20 +198,75 @@ class TestNonFinite:
     def test_one_bad_column_is_refused_at_the_same_node(self, value, kinks):
         # the kernel integral under apply, with a two-column target whose
         # second column is not finite past t = 1.5 (the window is [0, 10.5])
-        def two_columns(t):
+        def two_columns(t, x):
             return np.stack([np.ones_like(t), np.where(t > 1.5, value, 1.0)], axis=1)
 
-        def one_column(t):
-            return two_columns(t)[:, 1]
+        def one_column(t, x):
+            return two_columns(t, x)[:, 1]
 
         window = operator._blackbox_window(10.0, 1.0, 0.0, kinks)
-        kernel = partial(operator._kernel_values, 10.0, 1.0)
         refusals = []
         for g in (one_column, two_columns):
             with pytest.raises(ConvergenceFailure, match="target is not finite at t=") as exc:
-                kernel_integral(kernel, g, *window)
+                kernel_integral(operator._kernel_values, g, [10.0], [1.0], [window])
             refusals.append(str(exc.value).split(":")[0])
         assert refusals[0] == refusals[1]
+        assert "(u=10.0, x=1.0)" in refusals[0]
+
+
+def _batch_integral(g, kinks, us, xs):
+    """kernel_integral at the points (us[i], xs[i]), over apply's windows,
+    and the number of subintervals it ends with at each point: the kernel
+    sees 21 nodes per evaluated subinterval, and every split evaluates two
+    halves of one subinterval."""
+    nodes = Counter()
+
+    def kernel(u, x, t):
+        nodes.update(zip(u.tolist(), x.tolist()))
+        return operator._kernel_values(u, x, t)
+
+    windows = [operator._blackbox_window(u, x, 0.0, kinks) for u, x in zip(us, xs)]
+    value, error = kernel_integral(kernel, g, us, xs, windows)
+    counts = [(nodes[u, x] // 21 + len(w[2]) + 1) // 2
+              for u, x, w in zip(us.tolist(), xs.tolist(), windows)]
+    return value, error, counts
+
+
+BATCH_TARGETS = {
+    "kinked": (lambda t, x: np.abs(t - 1.0), (1.0,), (0.0, 6.0)),
+    "smooth": (lambda t, x: np.exp(-t) * np.cos(3.0 * t), (), (0.0, 6.0)),
+    "moments": (lambda t, x: np.power.outer(t - x, np.arange(7.0)), (), (0.0, 6.0)),
+    # undeclared kinks every pi/7: some points stop at 200 subintervals
+    "ridged": (lambda t, x: np.abs(np.sin(7.0 * t)), (), (1.2, 1.6)),
+}
+
+
+class TestBatch:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", list(BATCH_TARGETS))
+    def test_each_problem_is_refined_as_if_alone(self, name, seed):
+        g, kinks, log_u = BATCH_TARGETS[name]
+        rng = np.random.default_rng(seed)
+        us = 10.0 ** rng.uniform(*log_u, 7)
+        xs = np.append(0.0, rng.uniform(0.05, 2.5, 6))
+        value, error, counts = _batch_integral(g, kinks, us, xs)
+        assert value.shape == error.shape == ((7, 7) if name == "moments" else (7,))
+        for i in range(len(us)):
+            alone, alone_error, alone_count = _batch_integral(g, kinks, us[i:i + 1], xs[i:i + 1])
+            assert counts[i] == alone_count[0]
+            assert np.all(np.abs(value[i] - alone[0]) <= 1e-2 * alone_error[0])
+        if name == "ridged":
+            assert 200 in counts and min(counts) < 200
+
+    def test_refusal_names_the_problem_whose_target_is_not_finite(self):
+        us, xs = np.array([10.0, 20.0, 30.0]), np.array([1.0, 1.5, 2.0])
+
+        def g(t, x):
+            return np.where((x == 1.5) & (t > 2.0), np.inf, 1.0)
+
+        windows = [operator._blackbox_window(u, x, 0.0, ()) for u, x in zip(us, xs)]
+        with pytest.raises(ConvergenceFailure, match=r"\(u=20.0, x=1.5\)"):
+            kernel_integral(operator._kernel_values, g, us, xs, windows)
 
 
 class TestDispatch:

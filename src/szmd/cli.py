@@ -16,6 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bounds as bounds_mod
+from .basis import _check_point
 from .moments import central_moment, raw_moment
 from .operator import OperatorOverflow, apply, apply_truncated, parse_rule
 from .quadrature import ConvergenceFailure
@@ -135,10 +136,16 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    xs = _parse_grid(args.xs)
+    _check_point(args.u, 0.0)
+    if args.max_m < 0:
+        raise ValueError(f"--max-m must be >= 0, got {args.max_m}")
+    if not xs:
+        raise ValueError(f"--xs {args.xs!r} gives no x")
     rows = [
         f"{x:.17g},{m},{raw_moment(args.u, x, m):.17g},"
         f"{central_moment(args.u, x, m):.17g}"
-        for x in _parse_grid(args.xs)
+        for x in xs
         for m in range(args.max_m + 1)
     ]
     print("\n".join(["x,m,raw_moment,central_moment", *rows]))

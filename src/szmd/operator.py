@@ -8,9 +8,9 @@ weights over j gives every exp-poly term the closed form
 
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
 targets never sum the series.  apply takes it at one point with math
-(_closed_form); a whole x grid, as make_curves and korovkin_sup_error
-evaluate, takes its array twin (_closed_form_grid) in one numpy call,
-which costs more than the scalar form at one point and far less on a
+(_closed_form); a grid of (u, x) points, such as every u series of
+make_curves at once, takes its array twin (_closed_form_grid) in one numpy
+call, which costs more than the scalar form at one point and far less on a
 grid.  The same sum is the kernel integral
 B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
 whose Bessel closed form lets a black box be integrated against it by one
@@ -22,6 +22,7 @@ distribution function has a noncentral chi-square closed form.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -230,51 +231,57 @@ def _log_moment_polys(m: int, lam: np.ndarray) -> np.ndarray:
     return np.where(small, np.log(acc_low), m * np.log(big) + np.log(acc_inv))
 
 
-def _closed_form_grid(u: float, xs: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
-    """_closed_form at each x of the array xs >= 0: the values and their
-    rounding budgets.
+def _closed_form_grid(u, xs: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """_closed_form over the 1-d array xs >= 0 and u, one value or an array
+    that broadcasts against xs, such as a column of u: values and budgets.
 
-    The exponent's parts are _closed_form's.  The three that do not depend
-    on x, ln|c| + ln u - (m+1) ln(u-a), are summed once per term; uax/(u-a)
-    and the moment polynomial's log are added to them on the whole array,
-    in turn rather than exactly rounded, so a value can differ from
-    _closed_form's in its last bits.  The terms meet in one log-sum-exp
-    over the term axis, and the budget is _closed_form's formula.  Raises
-    OperatorOverflow when sum_k |c_k| B_k exceeds the double range at any x.
+    The exponent's parts are _closed_form's.  The three that do not depend on
+    x, ln|c| + ln u - (m+1) ln(u-a), are summed once per term and distinct u;
+    uax/(u-a) and the moment polynomial's log are added on the whole grid, in
+    turn rather than exactly rounded, so a value can differ from _closed_form's
+    in its last bits, but not from a call with its u alone.  The terms meet in
+    one log-sum-exp, and the budget is _closed_form's formula.  Raises
+    OperatorOverflow, naming (u, x), when sum_k |c_k| B_k exceeds the double range.
     """
+    per_u = not isinstance(u, (float, int))
+    if per_u:
+        u = np.asarray(u, dtype=np.float64)
+        entries = u.ravel().tolist()
     logs, signs, conds = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         for c, m, a in terms:
             if c == 0.0:
                 continue
+            parts = {v: (math.log(abs(c)), math.log(v), -(m + 1) * math.log(v - a))
+                     for v in (set(entries) if per_u else (u,))}
+            sums = {v: (math.fsum(p), sum(map(abs, p))) for v, p in parts.items()}
+            head, size = (np.array([sums[v] for v in entries]).T.reshape(2, *u.shape)
+                          if per_u else sums[u])
             d = u - a
-            head = (math.log(abs(c)), math.log(u), -(m + 1) * math.log(d))
             tilt = u * a * xs / d
             poly = _log_moment_polys(m, u * u * xs / d)
-            logs.append(math.fsum(head) + tilt + poly)
+            logs.append(head + tilt + poly)
             signs.append(math.copysign(1.0, c))
-            conds.append(2.5 * (sum(abs(p) for p in head) + np.abs(tilt) + np.abs(poly))
-                         + 4.0 * (m + 1))
+            conds.append(2.5 * (size + np.abs(tilt) + np.abs(poly)) + 4.0 * (m + 1))
         if not logs:
-            return np.zeros_like(xs), np.zeros_like(xs)
-        logs = np.array(logs)
-        top = np.max(logs, axis=0)
-        weights = np.exp(logs - top)
-        log_scale = top + np.log(np.sum(weights, axis=0))
+            return np.zeros(np.broadcast(u, xs).shape), np.zeros(np.broadcast(u, xs).shape)
+        top = functools.reduce(np.maximum, logs)
+        weights = [np.exp(lg - top) for lg in logs]
+        total = functools.reduce(np.add, weights)
+        log_scale = top + np.log(total)
         big = np.where(log_scale <= _LN_DBL_MAX, np.exp(top), np.inf)
-        value = big * np.sum(np.array(signs)[:, None] * weights, axis=0)
-        cond = np.sum(weights * np.array(conds), axis=0)
+        value = big * functools.reduce(np.add, [s * w for s, w in zip(signs, weights)])
+        cond = functools.reduce(np.add, [w * k for w, k in zip(weights, conds)])
         budget = _EPS * big * cond
         low = big < sys.float_info.min
         if low.any():
-            floor = math.ulp(0.0) * (1.0 + np.sum(weights, axis=0))
-            budget = np.where(low, big * (_EPS * cond) + floor, budget)
+            budget = np.where(low, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + total), budget)
     bad = ~np.isfinite(value)
     if bad.any():
         k = int(np.argmax(bad))
-        raise OperatorOverflow(
-            f"operator value overflows at x={xs[k]}: ln sum|c_k| B_k = {log_scale[k]:.6g}"
-        )
+        at_u, at_x = (np.broadcast_to(v, value.shape).flat[k] for v in (u, xs))
+        raise OperatorOverflow(f"operator value overflows at u={at_u}, x={at_x}: "
+                               f"ln sum|c_k| B_k = {log_scale.flat[k]:.6g}")
     return value, budget
 
 
@@ -357,26 +364,20 @@ def _check_domain(g: TargetFunction, u: float, x: float) -> None:
 
 
 def _apply_grid(g: TargetFunction, u, xs: np.ndarray) -> np.ndarray:
-    """apply(g, u, x).value at each x of the nonempty 1-d array xs, u one value
-    or one per x.  Every u, the growth rate and every x are checked before g or
-    the operator runs anywhere: the first NaN, infinite or negative x is refused
-    with _check_point's message.  A structured target is one _closed_form_grid
-    call per distinct u, a black box one batched kernel integral."""
+    """apply(g, u, x).value over the nonempty 1-d array xs and u, one value or an
+    array that broadcasts against it: one per x, or a column for one row per u.
+    Every u, the growth rate and every x are checked before g or the operator
+    runs anywhere (the first bad x gets _check_point's message); a structured
+    target is then one _closed_form_grid call, a black box one kernel integral."""
     if not xs.size:
         raise ValueError("x grid is empty")
-    distinct = sorted(set(np.ravel(u).tolist()))
     refused = xs[~((xs >= 0.0) & (xs < math.inf))]
-    for v in distinct:
+    for v in sorted(set(np.ravel(u).tolist())):
         _check_domain(g, v, float(refused[0]) if refused.size else 0.0)
     terms = exppoly_terms(g)
     if terms is None:
         return window_integral(u, xs, lambda t, _: g(t), g.growth_rate, g.kinks)[0]
-    if len(distinct) == 1:
-        return _closed_form_grid(distinct[0], xs, terms)[0]
-    values = np.empty_like(xs)
-    for v in distinct:
-        values[np.equal(u, v)] = _closed_form_grid(v, xs[np.equal(u, v)], terms)[0]
-    return values
+    return _closed_form_grid(u, xs, terms)[0]
 
 
 def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:

@@ -164,35 +164,26 @@ def make_curves(
     """Curve data: the target itself, one series per u, and optionally one
     truncated series per u, cut at the matching entry of truncation_js.
 
-    Each u series is one operator call on the whole grid: an array closed
-    form for a structured target, a batched kernel integral for a black
-    box.  The u series run before the target is evaluated, so a NaN,
-    infinite or negative x is refused before g sees it.  The truncated
-    series take apply_truncated at each x.
+    All u series are one operator call on the grid of every u with every x:
+    an array closed form for a structured target, a batched kernel integral
+    for a black box.  It runs before the target is evaluated, so a NaN,
+    infinite or negative x, or a u that diverges, is refused before g sees
+    it.  The truncated series take apply_truncated at each x.
     """
-    xs = np.asarray(sorted(float(x) for x in x_grid), dtype=np.float64)
+    xs = np.sort(np.asarray(x_grid, dtype=np.float64))
     # compared, not subtracted: inf - inf would warn before x is refused
     if len(xs) < 2 or np.any(xs[1:] <= xs[:-1]):
         raise ValueError("x grid must be strictly increasing")
     if truncation_js and len(truncation_js) != len(u_values):
-        raise ValueError(
-            f"need one truncation index per u: {len(truncation_js)} for "
-            f"{len(u_values)} u values"
-        )
-    grid = xs.tolist()
-    curves = [
-        CurveSeries(f"u={u:g}", u, None, tuple(zip(grid, _apply_grid(g, u, xs).tolist())))
-        for u in map(float, u_values)
-    ]
+        raise ValueError(f"need one truncation index per u: {len(truncation_js)} for "
+                         f"{len(u_values)} u values")
+    grid, us = xs.tolist(), [float(u) for u in u_values]
+    rows = _apply_grid(g, np.array(us)[:, None], xs).tolist() if us else []
+    curves = [CurveSeries(f"u={u:g}", u, None, tuple(zip(grid, row))) for u, row in zip(us, rows)]
     series = [CurveSeries("target", None, None, tuple(zip(grid, g(xs).tolist()))), *curves]
-    for u, j_max in zip(u_values, truncation_js) if truncation_js else ():
-        pts = tuple(
-            (float(x), apply_truncated(g, float(u), float(x), int(j_max)).value)
-            for x in xs
-        )
-        series.append(
-            CurveSeries(f"u={float(u):g},J={int(j_max)}", float(u), int(j_max), pts)
-        )
+    for u, j_max in zip(us, map(int, truncation_js or ())):
+        pts = tuple((x, apply_truncated(g, u, x, j_max).value) for x in grid)
+        series.append(CurveSeries(f"u={u:g},J={j_max}", u, j_max, pts))
     return series
 
 

@@ -52,6 +52,13 @@ class TestRefusals:
         pytest.param("moments --u 0", "u must be positive", id="moments-zero-u"),
         pytest.param("moments --u nan --xs 1", "u must be positive", id="moments-nan-u"),
         pytest.param("moments --u 10 --xs nan", "x must be >= 0", id="moments-nan-x"),
+        pytest.param("moments --u 10 --max-m -1", "--max-m must be >= 0, got -1",
+                     id="moments-negative-max-m"),
+        pytest.param("moments --u 10 --xs=", "--xs '' gives no x", id="moments-empty-xs"),
+        pytest.param("moments --u 10 --xs 0:1:0", "--xs '0:1:0' gives no x",
+                     id="moments-zero-count-xs"),
+        pytest.param("moments --u 0 --max-m -1", "u must be positive",
+                     id="moments-zero-u-no-rows"),
         pytest.param("eval --g t --u 10 --x nan", "x must be >= 0", id="eval-nan-x"),
         pytest.param("eval --g t --u inf --x 1", "u must be positive", id="eval-inf-u"),
         pytest.param("eval --g t --rule n^200 --n 100 --x 1", "double range",

@@ -181,6 +181,17 @@ class TestApplyGrid:
         with pytest.raises(DivergentIntegral):
             _apply_grid(X2E2X, np.array([10.0, 2.0]), np.array([1.0, 1.0]))
 
+    def test_a_column_of_u_gives_one_row_per_u(self):
+        us, xs = np.array([[10.0], [100.0], [10.0]]), np.array([0.0, 0.5, 2.5])
+        g = BlackBox(lambda t: math.exp(-t), growth_rate=0.0)
+        for target in (EXPNEG, g):
+            got = _apply_grid(target, us, xs)
+            assert got.shape == (3, 3)
+            assert got.tolist() == [[apply(target, u, x).value for x in xs.tolist()]
+                                    for u in us.ravel().tolist()]
+        with pytest.raises(DivergentIntegral, match="u=2.0"):
+            _apply_grid(X2E2X, np.array([[10.0], [2.0]]), xs)
+
 
 class TestClosedFormGrid:
     @pytest.mark.parametrize("u", [15.0, 35.0, 50.0, 1e2, 1e4, 1e6])
@@ -209,10 +220,18 @@ class TestOverflow:
         xs = np.array([0.0, 1.0, 300.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OperatorOverflow, match="x=300"):
+            with pytest.raises(OperatorOverflow, match=r"at u=3.0, x=300.0:"):
                 _closed_form_grid(3.0, xs, X2E2X.terms)
-            with pytest.raises(OperatorOverflow, match="x=300"):
+            with pytest.raises(OperatorOverflow, match=r"at u=3.0, x=300.0:"):
                 _apply_grid(X2E2X, 3.0, xs)
+            # one call over several u names the one entry that overflows:
+            # (100, 300) is finite, (3, 300) is not
+            us, xs = np.array([100.0, 100.0, 3.0, 3.0]), np.array([1.0, 300.0, 1.0, 300.0])
+            with pytest.raises(OperatorOverflow, match=r"at u=3.0, x=300.0:"):
+                _closed_form_grid(us, xs, X2E2X.terms)
+            with pytest.raises(OperatorOverflow, match=r"at u=3.0, x=300.0:"):
+                _apply_grid(X2E2X, us, xs)
+            assert np.isfinite(_closed_form_grid(us[:3], xs[:3], X2E2X.terms)[0]).all()
 
     def test_fixed_j_partial_sum_overflow_is_typed(self):
         with warnings.catch_warnings():

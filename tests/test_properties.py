@@ -139,6 +139,42 @@ def test_closed_form_grid_matches_the_scalar_form(case, spread):
         assert budget == pytest.approx(w_budget, rel=1e-10)
 
 
+@given(exppoly, st.lists(log_uniform(0.01, 1e6), min_size=1, max_size=3), st.data())
+def test_closed_form_grid_over_many_u_keeps_each_u_alone(terms, offsets, data):
+    # u one per x, drawn with repeats from one to three values, and a column
+    # of u against the grid: each point has the bits of the call with its own
+    # u alone, values and budgets
+    rate = max(max(a for _, _, a in terms), 0.0)
+    distinct = [min(rate + offset, 1e6) for offset in offsets]
+    n = data.draw(st.integers(1, 12))
+    picks = data.draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+    us, xs = np.array(picks), np.array(data.draw(st.lists(points, min_size=n, max_size=n)))
+    alone = {}
+    for v in set(picks):
+        try:
+            alone[v] = _closed_form_grid(v, xs[us == v], terms)
+        except OperatorOverflow:
+            with pytest.raises(OperatorOverflow):
+                _closed_form_grid(us, xs, terms)
+            return
+    values, budgets = _closed_form_grid(us, xs, terms)
+    for v, (want_values, want_budgets) in alone.items():
+        assert values[us == v].tobytes() == want_values.tobytes()
+        assert budgets[us == v].tobytes() == want_budgets.tobytes()
+    # a column of the drawn u, with its repeats, against every x: one row per u
+    column = np.array(distinct)[:, None]
+    try:
+        rows = [_closed_form_grid(v, xs, terms) for v in distinct]
+    except OperatorOverflow:
+        with pytest.raises(OperatorOverflow):
+            _closed_form_grid(column, xs, terms)
+        return
+    values, budgets = _closed_form_grid(column, xs, terms)
+    for row_values, row_budgets, (want_values, want_budgets) in zip(values, budgets, rows):
+        assert row_values.tobytes() == want_values.tobytes()
+        assert row_budgets.tobytes() == want_budgets.tobytes()
+
+
 @given(regimes(), uniform(-3.0, 3.0))
 def test_linearity(case, beta):
     terms, u, x = case

@@ -141,11 +141,11 @@ class TestCurves:
         assert shapes == [(126,)]
         assert series[0].points == tuple((float(x), float(NEGX3E5X(x))) for x in grid)
 
-    def test_operator_series_is_one_closed_form_call_per_u(self, monkeypatch):
+    def test_all_operator_series_are_one_closed_form_call(self, monkeypatch):
         shapes, points = [], []
 
         def counting_grid(u, xs, terms):
-            shapes.append(np.shape(xs))
+            shapes.append(np.broadcast(u, xs).shape)
             return closed_form_grid(u, xs, terms)
 
         def counting_point(u, x, terms):
@@ -156,8 +156,63 @@ class TestCurves:
         monkeypatch.setattr(operator, "_closed_form_grid", counting_grid)
         monkeypatch.setattr(operator, "_closed_form", counting_point)
         make_curves(NEGX3E5X, [15.0, 35.0, 50.0], np.linspace(0.0, 2.5, 126))
-        assert shapes == [(126,)] * 3
+        assert shapes == [(3, 126)]  # one call over all 378 (u, x) points
         assert points == []
+
+    def test_all_blackbox_series_are_one_kernel_integral(self, monkeypatch):
+        sizes = []
+        real = operator.kernel_integral
+
+        def counting(kernel, g, u, x, windows):
+            sizes.append(len(u))
+            return real(kernel, g, u, x, windows)
+
+        monkeypatch.setattr(operator, "kernel_integral", counting)
+        g = BlackBox(lambda t: np.abs(t - 1.0), growth_rate=0.0, kinks=(1.0,))
+        series = make_curves(g, [15.0, 35.0], np.linspace(0.0, 2.5, 11))
+        assert sizes == [22]
+        monkeypatch.setattr(operator, "kernel_integral", real)
+        for s in series[1:]:
+            assert s.points == tuple((x, operator.apply(g, s.u, x).value)
+                                     for x, _ in s.points)
+
+    def test_no_u_gives_only_the_target(self):
+        grid = np.linspace(0.0, 2.5, 6)
+        for g in (NEGX3E5X, BlackBox(lambda t: np.abs(t - 1.0), growth_rate=0.0)):
+            series = make_curves(g, [], grid)
+            assert [s.label for s in series] == ["target"]
+            assert series[0].points == tuple(zip(grid.tolist(), g(grid).tolist()))
+
+    def test_duplicate_u_gives_identical_series(self):
+        grid = np.linspace(0.0, 2.5, 26)
+        series = make_curves(X2E2X, [15.0, 35.0, 15.0], grid)
+        alone = make_curves(X2E2X, [15.0], grid)[1]
+        assert series[1] == series[3] == alone
+        assert series[2] == make_curves(X2E2X, [35.0], grid)[1]
+
+    @pytest.mark.parametrize("us, refusal", [
+        ([2.0, 10.0, 30.0], "u=2.0 <= growth rate 2.0"),
+        ([10.0, 30.0, 1.5], "u=1.5 <= growth rate 2.0"),
+        ([10.0, math.nan, 30.0], "u must be positive and finite, got nan"),
+    ])
+    def test_divergent_u_is_refused_before_anything_runs(self, monkeypatch, us, refusal):
+        # x2e2x grows at rate 2: u <= 2 (or NaN) anywhere refuses the whole call
+        calls = []
+
+        class Counting(type(X2E2X)):
+            def __call__(self, t):
+                calls.append("target")
+                return super().__call__(t)
+
+        def counting_grid(u, xs, terms):
+            calls.append("closed form")
+            return closed_form_grid(u, xs, terms)
+
+        closed_form_grid = operator._closed_form_grid
+        monkeypatch.setattr(operator, "_closed_form_grid", counting_grid)
+        with pytest.raises(ValueError, match=refusal):
+            make_curves(Counting(X2E2X.terms), us, np.linspace(0.0, 2.5, 26))
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
     @pytest.mark.parametrize("entry", [

@@ -94,8 +94,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     g = parse_target(args.g)
     rule = parse_rule(args.rule)
-    xs = _parse_grid(args.xs) if args.xs else REFERENCE_XS
-    ns = _parse_ints(args.ns, "--ns") if args.ns else REFERENCE_NS
+    xs = _parse_grid(args.xs) if args.xs is not None else REFERENCE_XS
+    ns = _parse_ints(args.ns, "--ns") if args.ns is not None else REFERENCE_NS
+    if not (xs and ns):
+        raise ValueError(f"--ns {args.ns!r} gives no n" if xs else f"--xs {args.xs!r} gives no x")
     table = make_error_table(g, rule, xs=xs, ns=ns)
     mismatches = compare_with_reference(table) if args.paper_check else []
     if args.out:

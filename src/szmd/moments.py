@@ -194,18 +194,27 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
 
 def central_moment_bruteforce(u, x, m):
     """Reference value: B((t - x)^m; x) at the points of the broadcast u
-    and x, for an order m or, on a last axis, a sequence of orders: one
-    batched kernel integral of the columns (t - x)^m, each point over the
-    window apply uses for a black box of growth rate 0.  The value comes
-    from quadrature of the Bessel-form kernel and shares nothing with the
-    Laguerre-coefficient polynomials of central_moment; the verification
-    suite cross-checks the two.
+    and x, for a whole order m >= 0 or, on a last axis, a sequence of them:
+    one batched kernel integral of the columns (t - x)^m, repeated products
+    of t - x, each point over the window apply uses for a black box of
+    growth rate 0.  The value comes from quadrature of the Bessel-form
+    kernel and shares nothing with the Laguerre-coefficient polynomials of
+    central_moment; the verification suite cross-checks the two.
     """
     # operator imports this module
     from .operator import window_integral
 
     for ui, xi in np.broadcast(u, x):
         _check_point(ui, xi)
-    orders = np.asarray(m, dtype=np.float64)
-    value, _ = window_integral(u, x, lambda t, xn: np.power.outer(t - xn, orders))
+    orders = np.asarray(m)
+    if orders.dtype.kind not in "iu" or orders.min(initial=0) < 0:
+        raise ValueError(f"moment orders must be integers >= 0, got {m}")
+
+    def columns(t, xn):  # products: pow would be a libm call per node and order
+        d, powers = t - xn, [np.ones_like(t)]
+        for _ in range(orders.max(initial=0)):
+            powers.append(powers[-1] * d)
+        return np.stack(powers, axis=-1)[..., orders]
+
+    value, _ = window_integral(u, x, columns)
     return value if value.ndim else float(value)

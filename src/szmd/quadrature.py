@@ -46,10 +46,10 @@ _WG[1::2] = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# the rules on [-1, 1], nodes ascending
+# the rules on [-1, 1], nodes ascending, the weights as 21 x 1 columns
 _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
-_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])[:, None]
+_GAUSS = np.concatenate([_WG, _WG[-2::-1]])[:, None]
 
 
 class DivergentIntegral(ValueError):
@@ -84,16 +84,15 @@ def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarr
     return out
 
 
-def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray, segments):
+def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Kronrod value, error estimate and rounding floor of kernel(u, x, t) g(t, x)
     on each [a_i, b_i] of the point (u_i, x_i), with QUADPACK qk21's error
     heuristic: arrays of shape (n,), or (k, n) for a target with k columns.
-    BLAS rounds a row of a matrix product by where it falls in it, so the
-    rule sums are one product per point, over the (start, end) of its
-    subintervals in segments, as for the point alone.  Raises
+    Each rule sum is one stacked product of every 1 x 21 row of node values
+    with the 21 x 1 weights: a dot product per row, whose bits do not depend
+    on where the row sits, so a subinterval rounds as it would alone.  Raises
     ConvergenceFailure at the first node where the target is not finite."""
-    centre = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
     t = (centre[:, None] + half[:, None] * _NODES).ravel()
     un, xn = u.repeat(len(_NODES)), x.repeat(len(_NODES))
     gt = np.asarray(g(t, xn), dtype=np.float64)
@@ -102,28 +101,19 @@ def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray,
         raise ConvergenceFailure(
             f"target is not finite at t={t[i]} (u={un[i]}, x={xn[i]}): {gt[i]}"
         )
-    f = (kernel(un, xn, t) * gt.T).reshape(gt.shape[1:] + (len(a), len(_NODES)))
+    f = (kernel(un, xn, t) * gt.T).reshape(gt.shape[1:] + (len(a), 1, len(_NODES)))
 
     def rule(values, weights):
-        return values @ weights if len(segments) == 1 else np.concatenate(
-            [values[..., s:e, :] @ weights for s, e in segments], axis=-1)
+        return (values @ weights)[..., 0, 0]
 
     resk = rule(f, _KRONROD)
     resabs = rule(np.abs(f), _KRONROD) * half  # half >= 0: the pieces ascend
-    resasc = rule(np.abs(f - 0.5 * resk[..., None]), _KRONROD) * half
+    resasc = rule(np.abs(f - 0.5 * resk[..., None, None]), _KRONROD) * half
     error = np.abs(resk - rule(f, _GAUSS)) * half
     error = np.where((resasc != 0.0) & (error != 0.0),
                      resasc * np.minimum(1.0, (200.0 * error / resasc) ** 1.5), error)
     floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
     return resk * half, np.maximum(error, floor), floor
-
-
-def _segments(prob: np.ndarray, size: int) -> list[tuple[int, int]]:
-    """(start, end) of each of the size points present in sorted prob."""
-    if size == 1:
-        return [(0, len(prob))]
-    cuts = np.searchsorted(prob, np.arange(size + 1)).tolist()
-    return [(s, e) for s, e in zip(cuts[:-1], cuts[1:]) if e > s]
 
 
 def kernel_integral(kernel, g, u, x, windows):
@@ -138,42 +128,40 @@ def kernel_integral(kernel, g, u, x, windows):
     every subinterval whose error estimate exceeds both its length's share
     of 1e-13 |integral| and its rounding floor, until for each point the
     total error is below 1e-13 |integral|, no subinterval qualifies, or
-    there are 200.  A subinterval carries its point's index; budgets,
-    splits, sums and the cap are per point, so each is refined and rounded
-    bit for bit as if alone.  Raises ConvergenceFailure when g is not finite
-    at a node or an error estimate exceeds 1e-6 |value|, and OverflowError
-    when g raises it or an integral leaves the double range, naming u, x."""
+    there are 200.  A subinterval carries its point's index, and a point's
+    subintervals stay together in their order alone; budgets, splits, the
+    cap and the totals (one np.add.reduceat over the cut indices) are per
+    point, so each is refined and rounded bit for bit as if alone.  Raises
+    ConvergenceFailure when g is not finite at a node or an error estimate
+    exceeds 1e-6 |value|, and OverflowError when g raises it or an integral
+    leaves the double range, naming u, x."""
     u, x = np.asarray(u, dtype=np.float64), np.asarray(x, dtype=np.float64)
     size, width = len(windows), np.array([hi - lo for lo, hi, _ in windows])
     prob, a, b = (np.array(c) for c in zip(*(
         (i, lo, hi) for i, (start, end, points) in enumerate(windows)
         for lo, hi in zip((start, *points), (*points, end)))))
     with np.errstate(all="ignore"):
-        segments = _segments(prob, size)
-        value, error, floor = _gk21(kernel, g, u[prob], x[prob], a, b, segments)
+        value, error, floor = _gk21(kernel, g, u[prob], x[prob], a, b)
         while True:
-            total, total_error = (v.sum(axis=-1)[..., None] if size == 1 else np.array(
-                [v[..., s:e].sum(axis=-1) for s, e in segments]).T for v in (value, error))
+            cuts = np.searchsorted(prob, np.arange(size))
+            total, total_error = (np.add.reduceat(v, cuts, axis=-1) for v in (value, error))
             budget = _REL_TOL * np.abs(total)
             split = (error > budget[..., prob] * ((b - a) / width[prob])) & (error > floor)
             split &= (total_error > budget)[..., prob]
             idx = np.flatnonzero(split.reshape(-1, len(a)).any(axis=0))
             if idx.size + len(a) > _LIMIT:
                 # a point that would pass 200 splits its worst ones only
-                room = _LIMIT - np.array([e - s for s, e in segments])
+                room = _LIMIT - np.bincount(prob, minlength=size)
                 for p in np.flatnonzero(np.bincount(prob[idx], minlength=size) > room):
                     mine, other = idx[prob[idx] == p], idx[prob[idx] != p]
                     worst = error.reshape(-1, len(a))[:, mine].max(axis=0)
                     idx = np.concatenate([other, mine[np.argsort(worst)[::-1][:room[p]]]])
             if not idx.size:
                 break
-            # the halves of each point together, left ones first
             halves = np.concatenate([prob[idx], prob[idx]])
             mid = 0.5 * (a[idx] + b[idx])
             na, nb = np.concatenate([a[idx], mid]), np.concatenate([mid, b[idx]])
-            order = np.argsort(halves, kind="stable") if size > 1 else slice(None)
-            halves, na, nb = halves[order], na[order], nb[order]
-            fresh = _gk21(kernel, g, u[halves], x[halves], na, nb, _segments(halves, size))
+            fresh = _gk21(kernel, g, u[halves], x[halves], na, nb)
             keep = np.ones(len(a), dtype=bool)
             keep[idx] = False
             a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
@@ -181,12 +169,10 @@ def kernel_integral(kernel, g, u, x, windows):
             value, error, floor = (np.concatenate([old[..., keep], new], axis=-1)
                                    for old, new in zip((value, error, floor), fresh))
             if size > 1:
+                # per point: kept subintervals, left halves, right halves, as alone
                 order = np.argsort(prob, kind="stable")
                 a, b, prob = a[order], b[order], prob[order]
-                # take returns rows in C order, which numpy sums pairwise as
-                # it does the point's own array; v[..., order] would not
-                value, error, floor = (np.take(v, order, axis=-1) for v in (value, error, floor))
-            segments = _segments(prob, size)
+                value, error, floor = (v[..., order] for v in (value, error, floor))
         bad = ~(np.isfinite(total) & np.isfinite(total_error))
         loose = total_error > _MAX_REL_ERROR * np.abs(total)
     for hit, refusal, what in ((bad, OverflowError, "is not finite"),

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
+from .basis import _check_point
 from .moments import (
     central_moment,
     central_moment_bruteforce,
@@ -166,9 +167,9 @@ def make_curves(
 
     All u series are one operator call on the grid of every u with every x:
     an array closed form for a structured target, a batched kernel integral
-    for a black box.  It runs before the target is evaluated, so a NaN,
-    infinite or negative x, or a u that diverges, is refused before g sees
-    it.  The truncated series take apply_truncated at each x.
+    for a black box.  A NaN, infinite or negative x, or a u that diverges,
+    is refused before g sees it, by that call or, with no u, at the ends of
+    the sorted grid.  The truncated series take apply_truncated at each x.
     """
     xs = np.sort(np.asarray(x_grid, dtype=np.float64))
     # compared, not subtracted: inf - inf would warn before x is refused
@@ -178,6 +179,8 @@ def make_curves(
         raise ValueError(f"need one truncation index per u: {len(truncation_js)} for "
                          f"{len(u_values)} u values")
     grid, us = xs.tolist(), [float(u) for u in u_values]
+    if not us:  # sorted: a negative x or -inf comes first, a NaN or inf last
+        _check_point(1.0, grid[0] if grid[0] < 0.0 else grid[-1])
     rows = _apply_grid(g, np.array(us)[:, None], xs).tolist() if us else []
     curves = [CurveSeries(f"u={u:g}", u, None, tuple(zip(grid, row))) for u, row in zip(us, rows)]
     series = [CurveSeries("target", None, None, tuple(zip(grid, g(xs).tolist()))), *curves]

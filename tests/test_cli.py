@@ -59,6 +59,9 @@ class TestRefusals:
                      id="moments-zero-count-xs"),
         pytest.param("moments --u 0 --max-m -1", "u must be positive",
                      id="moments-zero-u-no-rows"),
+        pytest.param("table --xs 0:1:0", "--xs '0:1:0' gives no x", id="table-zero-count-xs"),
+        pytest.param("table --xs=", "--xs '' gives no x", id="table-empty-xs"),
+        pytest.param("table --ns=, --xs 1", "--ns ',' gives no n", id="table-empty-ns"),
         pytest.param("eval --g t --u 10 --x nan", "x must be >= 0", id="eval-nan-x"),
         pytest.param("eval --g t --u inf --x 1", "u must be positive", id="eval-inf-u"),
         pytest.param("eval --g t --rule n^200 --n 100 --x 1", "double range",
@@ -114,6 +117,12 @@ class TestTable:
         lines = dest.read_text().splitlines()
         assert lines[0] == "x,n,u_n,operator_value,g_value,abs_error"
         assert len(lines) == 5
+
+    def test_empty_grid_writes_no_csv(self, capsys, tmp_path):
+        dest = tmp_path / "t.csv"
+        code, _ = run_cli(capsys, "table", "--xs", "0:1:0", "--out", str(dest))
+        assert code == 2
+        assert not dest.exists()
 
 
 class TestCurve:

@@ -225,6 +225,21 @@ class TestBruteforceOracle:
             np.testing.assert_allclose(row, alone, rtol=1e-13, atol=1e-300)
         assert central_moment_bruteforce(us, xs, 2).shape == (4,)
 
+    def test_verify_points_are_within_1e_13_of_the_closed_form(self):
+        # the nine (u, x) points of the verification suite's check, orders 0-6:
+        # rounding of the repeated products of t - x stays far inside 1e-13
+        us, xs = (v.ravel() for v in np.meshgrid((5.0, 10.0, 100.0), (0.1, 1.0, 2.5),
+                                                indexing="ij"))
+        refs = central_moment_bruteforce(us, xs, range(7))
+        for u, x, row in zip(us.tolist(), xs.tolist(), refs.tolist()):
+            for m, ref in enumerate(row):
+                assert abs(central_moment(u, x, m) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("m", [-1, [0, -2], 2.5, [1.0, 2.0]])
+    def test_order_that_is_not_a_whole_number_is_refused(self, m):
+        with pytest.raises(ValueError, match="moment orders must be integers >= 0"):
+            central_moment_bruteforce(10.0, 1.0, m)
+
     @pytest.mark.parametrize("u, x", [(5.0, 0.1), (10.0, 1.0), (100.0, 2.5)])
     def test_matches_per_j_series(self, u, x):
         for m in range(5):

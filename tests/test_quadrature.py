@@ -172,7 +172,7 @@ class TestGaussKronrod:
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             want, want_err = integrate.quad(lambda t: float(f(np.float64(t))), a, b, limit=1)
         value, error, _ = _gk21(lambda u, x, t: np.ones_like(t), lambda t, x: f(t),
-                                np.zeros(1), np.zeros(1), np.array([a]), np.array([b]), [(0, 1)])
+                                np.zeros(1), np.zeros(1), np.array([a]), np.array([b]))
         np.testing.assert_allclose(value[0], want, rtol=1e-14)
         np.testing.assert_allclose(error[0], want_err, rtol=1e-9)
 
@@ -257,6 +257,38 @@ class TestBatch:
             assert np.all(np.abs(value[i] - alone[0]) <= 1e-2 * alone_error[0])
         if name == "ridged":
             assert 200 in counts and min(counts) < 200
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_subinterval_rounds_as_if_alone(self, seed):
+        # a mixed batch of subintervals of different points and widths, with
+        # the seven moment columns: value, error and floor of each one have
+        # the bits of _gk21 on that subinterval alone
+        rng = np.random.default_rng(seed)
+        n = 40
+        us, xs = 10.0 ** rng.uniform(0.0, 6.0, n), rng.uniform(0.0, 2.5, n)
+        a = rng.uniform(0.0, 3.0, n)
+        b = a + 10.0 ** rng.uniform(-6.0, 0.5, n)
+        g = BATCH_TARGETS["moments"][0]
+        with np.errstate(all="ignore"):  # as under kernel_integral
+            batch = _gk21(operator._kernel_values, g, us, xs, a, b)
+            assert all(v.shape == (7, n) for v in batch)
+            for i in range(n):
+                s = slice(i, i + 1)
+                alone = _gk21(operator._kernel_values, g, us[s], xs[s], a[s], b[s])
+                for got, want in zip(batch, alone):
+                    assert got[:, s].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_moment_totals_have_the_bits_of_each_point_alone(self, seed):
+        g, kinks, log_u = BATCH_TARGETS["moments"]
+        rng = np.random.default_rng(seed)
+        us = 10.0 ** rng.uniform(*log_u, 7)
+        xs = np.append(0.0, rng.uniform(0.05, 2.5, 6))
+        value, error, _ = _batch_integral(g, kinks, us, xs)
+        for i in range(len(us)):
+            alone, alone_error, _ = _batch_integral(g, kinks, us[i:i + 1], xs[i:i + 1])
+            assert value[i].tobytes() == alone[0].tobytes()
+            assert error[i].tobytes() == alone_error[0].tobytes()
 
     def test_refusal_names_the_problem_whose_target_is_not_finite(self):
         us, xs = np.array([10.0, 20.0, 30.0]), np.array([1.0, 1.5, 2.0])

@@ -183,6 +183,23 @@ class TestCurves:
             assert [s.label for s in series] == ["target"]
             assert series[0].points == tuple(zip(grid.tolist(), g(grid).tolist()))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid, bad", [
+        ([-1.0, 1.0], "-1.0"),
+        ([0.5, 1.0, math.inf], "inf"),
+        ([-math.inf, 1.0], "-inf"),
+        ([0.5, math.nan, 1.0], "nan"),
+    ])
+    def test_no_u_refuses_a_bad_x_before_the_target_runs(self, grid, bad):
+        # without u no operator call checks x: g(-1) would be 148.4, g(inf) warn
+        calls = []
+        g = BlackBox(lambda t: calls.append(t) or NEGX3E5X(t), growth_rate=0.0)
+        with pytest.raises(ValueError, match=f"x must be >= 0 and finite, got {bad}$"):
+            make_curves(g, [], grid)
+        with pytest.raises(ValueError, match=f"x must be >= 0 and finite, got {bad}$"):
+            make_curves(NEGX3E5X, [], grid)
+        assert calls == []
+
     def test_duplicate_u_gives_identical_series(self):
         grid = np.linspace(0.0, 2.5, 26)
         series = make_curves(X2E2X, [15.0, 35.0, 15.0], grid)

@@ -3,9 +3,9 @@
 Applying the operator to t^m gives (1/u^m) * E[(X+1)(X+2)...(X+m)] with
 X ~ Poisson(ux), which is m! L_m(-ux) for the Laguerre polynomial L_m
 (DLMF 18.5.12): an integer-coefficient polynomial in ux.  Central moments
-are kept as polynomials in x whose coefficients are integers times powers
-of 1/u, so the derivative-based recurrence and the binomial expansion can
-be compared coefficient-wise without rounding.  The reference
+are kept as one flat map {(k, d): c} of integer coefficients c of the terms
+c x^k u^(-d), so the derivative-based recurrence and the binomial expansion
+can be compared coefficient-wise without rounding.  The reference
 central_moment_bruteforce is a quadrature of (t - x)^m against the kernel
 instead, so it shares no code with these polynomials.
 """
@@ -20,8 +20,8 @@ import numpy as np
 
 from .basis import _check_point
 
-# A polynomial sum_k x^k * sum_d c_{k,d} u^{-d} as {k: {d: c}}.
-PolyXU = dict[int, dict[int, int]]
+# A polynomial sum c x^k u^(-d) as {(k, d): c}, zero coefficients left out.
+PolyXU = dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
@@ -46,15 +46,6 @@ def raw_moment(u: float, x: float, m: int) -> float:
     return float(sum(a * x**l * u ** float(l - m) for l, a in enumerate(coeffs)))
 
 
-def _nest(acc: dict[tuple[int, int], int]) -> PolyXU:
-    """{(k, d): c} to {k: {d: c}}, zeros dropped, first-appearance order."""
-    out: PolyXU = {}
-    for (k, d), c in acc.items():
-        if c:
-            out.setdefault(k, {})[d] = c
-    return out
-
-
 @dataclass(frozen=True)
 class CentralMomentPoly:
     """Central moment of order m as an exact polynomial in x and 1/u."""
@@ -64,24 +55,18 @@ class CentralMomentPoly:
 
     def evaluate(self, u: float, x: float) -> float:
         total = 0.0
-        for k, dv in self.coeffs.items():
-            cu = sum(float(c) * u ** float(-d) for d, c in dv.items())
-            total += cu * x**k
+        for (k, d), c in self.coeffs.items():
+            total += float(c) * u ** float(-d) * x**k
         return total
 
     def coeff_gap(self, other: "CentralMomentPoly") -> int:
         """Largest |coefficient difference| with other, exact."""
-        gap = 0
-        for k in set(self.coeffs) | set(other.coeffs):
-            a, b = self.coeffs.get(k, {}), other.coeffs.get(k, {})
-            for d in set(a) | set(b):
-                gap = max(gap, abs(a.get(d, 0) - b.get(d, 0)))
-        return gap
+        a, b = self.coeffs, other.coeffs
+        return max((abs(a.get(key, 0) - b.get(key, 0)) for key in a.keys() | b.keys()), default=0)
 
     def same_coeffs(self, other: "CentralMomentPoly", tol: float = 0.0) -> bool:
         """Coefficient-wise equality: exact when tol is 0, else within tol."""
-        gap = self.coeff_gap(other)
-        return gap == 0 if tol == 0.0 else float(gap) <= tol
+        return self.coeff_gap(other) <= tol
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +83,7 @@ def central_moment_poly(m: int) -> CentralMomentPoly:
         sign = (-1) ** (m - i) * math.comb(m, i)
         for l, a in enumerate(raw_moment_lambda_coeffs(i)):
             acc[l + m - i, i - l] += sign * a
-    return CentralMomentPoly(m, _nest(acc))
+    return CentralMomentPoly(m, {kd: c for kd, c in acc.items() if c})
 
 
 def central_moment(u: float, x: float, m: int) -> float:
@@ -107,11 +92,8 @@ def central_moment(u: float, x: float, m: int) -> float:
     return central_moment_poly(m).evaluate(u, x)
 
 
-def recurrence_step(
-    om_prev: CentralMomentPoly | None,
-    om_cur: CentralMomentPoly,
-    misplace_x: bool = False,
-) -> CentralMomentPoly:
+def recurrence_step(om_prev: CentralMomentPoly | None, om_cur: CentralMomentPoly,
+                    misplace_x: bool = False) -> CentralMomentPoly:
     """Next central moment from the derivative recurrence.
 
     u * M_{m+1} = x * M_m' + 2m * x * M_{m-1} + (m+1) * M_m, with M_{-1} = 0.
@@ -122,30 +104,23 @@ def recurrence_step(
     """
     m = om_cur.order
     acc: dict[tuple[int, int], int] = defaultdict(int)
-    for k, dv in om_cur.coeffs.items():
+    for (k, d), c in om_cur.coeffs.items():
         if k:  # x * M_m' has no x^0 term
-            for d, c in dv.items():
-                acc[k, d + 1] += k * c
+            acc[k, d + 1] += k * c
     if om_prev is not None and m >= 1:
-        for k, dv in om_prev.coeffs.items():
-            for d, c in dv.items():
-                acc[k + 1, d + 1] += 2 * m * c
-    for k, dv in om_cur.coeffs.items():
-        for d, c in dv.items():
-            acc[k + int(misplace_x), d + 1] += (m + 1) * c
-    return CentralMomentPoly(m + 1, _nest(acc))
+        for (k, d), c in om_prev.coeffs.items():
+            acc[k + 1, d + 1] += 2 * m * c
+    for (k, d), c in om_cur.coeffs.items():
+        acc[k + int(misplace_x), d + 1] += (m + 1) * c
+    return CentralMomentPoly(m + 1, {kd: c for kd, c in acc.items() if c})
 
 
-def central_moments_by_recurrence(
-    max_order: int, misplace_x: bool = False
-) -> list[CentralMomentPoly]:
+def central_moments_by_recurrence(max_order: int,
+                                  misplace_x: bool = False) -> list[CentralMomentPoly]:
     """All central moment polynomials up to max_order via the recurrence."""
-    polys = [CentralMomentPoly(0, {0: {0: 1}})]
-    prev: CentralMomentPoly | None = None
-    for _ in range(max_order):
-        nxt = recurrence_step(prev, polys[-1], misplace_x=misplace_x)
-        prev = polys[-1]
-        polys.append(nxt)
+    polys = [CentralMomentPoly(0, {(0, 0): 1})]
+    for m in range(max_order):
+        polys.append(recurrence_step(polys[m - 1] if m else None, polys[m], misplace_x))
     return polys
 
 

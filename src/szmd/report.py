@@ -82,10 +82,8 @@ REFERENCE_ABS_ERRORS: dict[str, dict[float, tuple[float, ...]]] = {
 
 #: Strict spot-check subset: (rule label, x, n) -> published absolute error.
 REFERENCE_SPOT_CHECKS: dict[tuple[str, float, int], float] = {
-    ("n", 1.0, 100): 1.46137,
-    ("n", 2.5, 1000): 20.2783,
-    ("n^1.5", 0.1, 100): 0.000622967,
-    ("n^2", 1.0, 10): 1.46137,
+    (label, x, n): REFERENCE_ABS_ERRORS[label][x][REFERENCE_NS.index(n)]
+    for label, x, n in [("n", 1.0, 100), ("n", 2.5, 1000), ("n^1.5", 0.1, 100), ("n^2", 1.0, 10)]
 }
 
 
@@ -126,10 +124,13 @@ def make_error_table(
     Cells where the operator diverges (u_n not above the growth rate) or
     overflows the double range are kept in place with NaN values and an
     explanatory message, headed "divergent" or "overflow", instead of
-    aborting the whole table.
+    aborting the whole table.  An empty x grid or n list is refused before
+    any cell is computed.
     """
     xs = tuple(float(x) for x in xs)
     ns = tuple(int(n) for n in ns)
+    if not (xs and ns):
+        raise ValueError("n list is empty" if xs else "x grid is empty")
     cells = []
     for x in xs:
         gx = float(g(x))

@@ -57,11 +57,8 @@ def per_j_series(u, x, m, eps=1e-12):
 def exact_central_moment(u, x, m):
     """The moment polynomial evaluated in exact rationals at float (u, x)."""
     u, x = Fraction(u), Fraction(x)
-    return float(sum(
-        c * x**k / u**d
-        for k, dv in central_moment_poly(m).coeffs.items()
-        for d, c in dv.items()
-    ))
+    return float(sum(c * x**k / u**d
+                     for (k, d), c in central_moment_poly(m).coeffs.items()))
 
 
 def closed_form_raw(u, x, m):
@@ -141,11 +138,11 @@ class TestRecurrence:
     def test_second_moment_polynomial(self):
         polys = central_moments_by_recurrence(2)
         # 2x/u + 2/u^2
-        assert polys[2].coeffs == {1: {1: Fraction(2)}, 0: {2: Fraction(2)}}
+        assert polys[2].coeffs == {(1, 1): Fraction(2), (0, 2): Fraction(2)}
 
     def test_first_step_uses_empty_convention(self):
         polys = central_moments_by_recurrence(1)
-        assert polys[1].coeffs == {0: {1: Fraction(1)}}
+        assert polys[1].coeffs == {(0, 1): Fraction(1)}
 
     def test_third_moment_matches_binomial_numerically(self):
         polys = central_moments_by_recurrence(3)
@@ -167,11 +164,15 @@ class TestRecurrence:
         # disagreement is structural, not a rounding artifact; x != 1 so the
         # misplaced factor cannot hide
         assert abs(bad.evaluate(10.0, 2.0) - good.evaluate(10.0, 2.0)) > 1e-3
+        # misplaced at both steps: x/u^2 + 2x/u + 2x^2/u^2, two powers of 1/u
+        # on x^1, so the map cannot be keyed by k (or by k + d) alone
+        chain = central_moments_by_recurrence(2, misplace_x=True)[2]
+        assert chain.coeffs == {(1, 2): 1, (1, 1): 2, (2, 2): 2}
 
     def test_coefficient_gap_is_exact(self):
         good = central_moment_poly(4)
         tiny = Fraction(1, 10**30)
-        nudged = CentralMomentPoly(4, {**good.coeffs, 9: {0: tiny}})
+        nudged = CentralMomentPoly(4, {**good.coeffs, (9, 0): tiny})
         assert good.coeff_gap(central_moments_by_recurrence(4)[4]) == 0
         assert nudged.coeff_gap(good) == tiny
         # tol = 0 compares the Fractions themselves, so even a 1e-30 gap counts
@@ -264,7 +265,7 @@ class TestPolynomialStructure:
         # every term is c x^k u^-d with k + d = m and 2k <= m, so mu_m is
         # O(u^-ceil(m/2)) on compacts, with a sign-free coefficient sum
         for poly in (central_moment_poly(m), central_moments_by_recurrence(m)[m]):
-            terms = [(k, d, c) for k, dv in poly.coeffs.items() for d, c in dv.items()]
+            terms = [(k, d, c) for (k, d), c in poly.coeffs.items()]
             assert terms
             for k, d, c in terms:
                 assert type(c) is int and c > 0

@@ -84,6 +84,17 @@ class TestErrorTable:
         assert bad.error.startswith("overflow") and math.isnan(bad.abs_error)
         assert good.error is None and math.isfinite(good.abs_error)
 
+    def test_empty_x_grid_rejected(self):
+        with pytest.raises(ValueError, match="x grid is empty"):
+            make_error_table(X2E2X, SequenceRule.identity(), xs=[], ns=(10,))
+
+    def test_empty_n_list_rejected_before_any_cell(self):
+        seen = []
+        g = BlackBox(lambda t: seen.append(t) or t, growth_rate=0.0)
+        with pytest.raises(ValueError, match="n list is empty"):
+            make_error_table(g, SequenceRule.identity(), xs=(1.0,), ns=[])
+        assert seen == []
+
     def test_u_column_strictly_increasing(self):
         t = make_error_table(X2E2X, SequenceRule.from_power(1.5), xs=(1.0,), ns=(10, 50, 100))
         us = [c.u for c in t.cells]

@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Runs every szmd entry point through the installed console script
+# ([project.scripts]), not python -m.  A refusal must exit with status 2.
+# Usage: PYTHONWARNINGS=error::RuntimeWarning bash .github/entry_points.sh
+set -euo pipefail
+out="${RUNNER_TEMP:-$(mktemp -d)}"
+
+szmd moments --u 1e6 --max-m 12
+szmd verify --tables spot
+szmd table --rule n --paper-check
+szmd table --rule n1.5 --paper-check
+szmd table --rule n2 --paper-check
+szmd curve --J 15,35,50 --out "$out/curves.csv"
+szmd curve --us 15,1e6 --xs 0:2.5:126 --out "$out/c.csv"
+rc=0; szmd curve --xs 1,inf || rc=$?; test "$rc" -eq 2
+rc=0; szmd curve --us 15 --xs 0,1 --J 2.7 || rc=$?; test "$rc" -eq 2
+rc=0; szmd moments --u 10 --max-m -1 || rc=$?; test "$rc" -eq 2
+rc=0; szmd table --xs 0:1:0 || rc=$?; test "$rc" -eq 2
+rc=0; szmd eval --g 't^170' --u 10 --x 1 || rc=$?; test "$rc" -eq 2
+szmd eval --g '2*t^2 - 0.5*t + 3' --u 100 --x 1 --J 80
+szmd bounds --which dbv --g t2 --u 400 --x 1
+szmd bounds --which kfunctional --g expneg --u 1e3 --x 1
+szmd bounds --which lipschitz --g expneg --u 1e3 --x 1
+szmd bounds --which lipspace --g expneg --u 1e3 --x 1

@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .basis import _check_point
 from .moments import central_moment, raw_moment
-from .operator import OperatorOverflow, apply, apply_truncated, parse_rule
+from .operator import apply, apply_truncated, parse_rule
 from .quadrature import ConvergenceFailure
 from .report import (
     REFERENCE_NS,
@@ -262,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OperatorOverflow, ConvergenceFailure) as exc:
+    except (ValueError, OverflowError, ConvergenceFailure) as exc:
         print(f"szmd: error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,8 @@ from .targets import TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
 _LN_DBL_MAX = math.log(sys.float_info.max)
-_LN_TINY = math.log(sys.float_info.min * _EPS)  # the smallest subnormal
+_DBL_MIN = sys.float_info.min
+_LN_TINY = math.log(_DBL_MIN * _EPS)  # the smallest subnormal
 _TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
 
 
@@ -243,20 +244,17 @@ def _closed_form_grid(u, xs: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]
     one log-sum-exp, and the budget is _closed_form's formula.  Raises
     OperatorOverflow, naming (u, x), when sum_k |c_k| B_k exceeds the double range.
     """
-    per_u = not isinstance(u, (float, int))
-    if per_u:
-        u = np.asarray(u, dtype=np.float64)
-        entries = u.ravel().tolist()
+    u = np.asarray(u, dtype=np.float64)
+    entries = u.ravel().tolist()
     logs, signs, conds = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         for c, m, a in terms:
             if c == 0.0:
                 continue
             parts = {v: (math.log(abs(c)), math.log(v), -(m + 1) * math.log(v - a))
-                     for v in (set(entries) if per_u else (u,))}
+                     for v in set(entries)}
             sums = {v: (math.fsum(p), sum(map(abs, p))) for v, p in parts.items()}
-            head, size = (np.array([sums[v] for v in entries]).T.reshape(2, *u.shape)
-                          if per_u else sums[u])
+            head, size = np.array([sums[v] for v in entries]).T.reshape(2, *u.shape)
             d = u - a
             tilt = u * a * xs / d
             poly = _log_moment_polys(m, u * u * xs / d)
@@ -321,8 +319,9 @@ def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float,
 
     K(x,t) <= u e^{-u(sqrt t - sqrt x)^2} because i0e <= 1, so below lo
     (< x) the kernel is under the smallest subnormal, where a target with
-    |g| <= C e^{at} is at most C e^{max(a, 0) x}.  With c = u^2 x/(u-a)^2
-    the tilted kernel is
+    |g| <= C e^{at} is at most C e^{max(a, 0) x}.  With c = x (u/(u-a))^2,
+    taken so that u^2 cannot underflow to 0/0 at u < 1e-162, the tilted
+    kernel is
     K(x,t) e^{at} = u e^{uax/(u-a)} e^{-(u-a)(sqrt t - sqrt c)^2} i0e(2u sqrt(xt)),
     and past hi, where (u-a)(sqrt t - sqrt c)^2 = 50, it carries at most
     e^{-50} (1 + sqrt(L/50)), L = u^2 x/(u-a), of its total mass
@@ -334,7 +333,7 @@ def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float,
     """
     d = u - a
     lo = max(math.sqrt(x) - math.sqrt((math.log(u) - _LN_TINY) / u), 0.0) ** 2
-    c = u * u * x / (d * d)
+    c = x * (u / d) ** 2
     hi = max((math.sqrt(c) + math.sqrt(_TILT_CUT / d)) ** 2, lo)
     w = 12.0 * math.sqrt((c + 1.0 / u) / d)
     points = sorted({p for p in (x, c, c - w, c + w, *kinks) if lo < p < hi})
@@ -476,31 +475,28 @@ def kernel_value(u: float, x: float, t: float) -> float:
     """Kernel density u * sum_j s_{u,j}(x) s_{u,j}(t); symmetric in (x, t).
 
     The sum is u e^{-u(x+t)} I_0(2u sqrt(xt)) (DLMF 10.25.2), evaluated as
-    u exp(-u (x-t)^2 / (sqrt x + sqrt t)^2) i0e(2u sqrt x sqrt t): the
-    exponent is -u (sqrt x - sqrt t)^2 without cancellation, sqrt x sqrt t
-    stays finite where xt overflows, and every operation is symmetric in
-    (x, t), so swapping them gives the same bits.
+    u exp(-u r^2) i0e(2u sqrt x sqrt t), r = (x - t)/(sqrt x + sqrt t + DBL_MIN):
+    r is sqrt x - sqrt t without cancellation, u r^2 cannot overflow before
+    the kernel underflows, and DBL_MIN, absorbed exactly by any nonzero root
+    sum (>= 2.2e-162), turns 0/0 at x = t = 0 into r = 0.  sqrt x sqrt t
+    stays finite where xt overflows, and swapping x and t only negates r, so
+    it gives the same bits.  _kernel_values takes the same steps in numpy; its
+    exp can be an ulp off libm's, which the products after it carry to at
+    most 4 ulps, and most values agree bit for bit.
     """
     _check_point(u, x, t)
     root_x, root_t = math.sqrt(x), math.sqrt(t)
-    root_sum = root_x + root_t
-    if root_sum == 0.0:
-        return u
-    try:
-        gap = u * (x - t) ** 2 / (root_sum * root_sum)
-    except OverflowError:  # |x - t| > ~1.3e154: sqrt x - sqrt t squared
-        r = (x - t) / root_sum
-        gap = u * r * r
-    return u * math.exp(-gap) * float(i0e(2.0 * u * (root_x * root_t)))
+    r = (x - t) / (root_x + root_t + _DBL_MIN)
+    return u * math.exp(-u * r * r) * float(i0e(2.0 * u * (root_x * root_t)))
 
 
 def _kernel_values(u, x, t: np.ndarray) -> np.ndarray:
-    """kernel_value at nodes t >= 0 by the same operations in numpy, u and x one
-    value or one per node; the denominator is kept >= DBL_MIN, below which (x-t)^2 = 0."""
+    """kernel_value at nodes t >= 0, u and x one value or one per node, by its
+    one exponent u r^2 in numpy; u r can overflow only for u above ~1e154,
+    where the kernel is 0 (call under np.errstate, as kernel_integral does)."""
     root_x, root_t = np.sqrt(x), np.sqrt(t)
-    root_sum = root_x + root_t
-    gap = u * (x - t) ** 2 / np.maximum(root_sum * root_sum, sys.float_info.min)
-    return u * np.exp(-gap) * i0e(2.0 * u * (root_x * root_t))
+    r = (x - t) / (root_x + root_t + _DBL_MIN)
+    return u * np.exp(-u * r * r) * i0e(2.0 * u * (root_x * root_t))
 
 
 def kernel_cdf(u: float, x: float, y: float) -> float:

@@ -26,7 +26,6 @@ from .moments import (
     zeta_sq,
 )
 from .operator import (
-    OperatorOverflow,
     SequenceRule,
     _apply_grid,
     apply,
@@ -122,10 +121,10 @@ def make_error_table(
     """Fill the (x, n) error grid for a target under a parameter rule.
 
     Cells where the operator diverges (u_n not above the growth rate) or
-    overflows the double range are kept in place with NaN values and an
-    explanatory message, headed "divergent" or "overflow", instead of
-    aborting the whole table.  An empty x grid or n list is refused before
-    any cell is computed.
+    overflows the double range (so do the moment coefficients of a power >=
+    167) are kept in place with NaN values and an explanatory message, headed
+    "divergent" or "overflow", instead of aborting the whole table.  An empty
+    x grid or n list is refused before any cell is computed.
     """
     xs = tuple(float(x) for x in xs)
     ns = tuple(int(n) for n in ns)
@@ -141,8 +140,8 @@ def make_error_table(
                 cells.append(
                     TableCell(x, n, u, op.value, gx, abs(op.value - gx))
                 )
-            except (DivergentIntegral, OperatorOverflow) as exc:
-                status = "overflow" if isinstance(exc, OperatorOverflow) else "divergent"
+            except (DivergentIntegral, OverflowError) as exc:
+                status = "overflow" if isinstance(exc, OverflowError) else "divergent"
                 cells.append(
                     TableCell(x, n, u, math.nan, gx, math.nan, error=f"{status}: {exc}")
                 )

@@ -86,6 +86,13 @@ class TestRefusals:
                      id="curve-fractional-n"),
         pytest.param("curve --xs 0:2.5", "neither a comma list nor start:stop:count",
                      id="malformed-grid"),
+        # A_m of the moment polynomial leaves the double range from m = 167
+        pytest.param("eval --g t^170 --u 10 --x 1", "int too large to convert to float",
+                     id="eval-power-170"),
+        pytest.param("eval --g t^167 --u 10 --x 1 --J 5", "int too large to convert to float",
+                     id="eval-truncated-power-167"),
+        pytest.param("moments --u 10 --xs 1 --max-m 170", "int too large to convert to float",
+                     id="moments-order-170"),
     ])
     def test_refused_value_is_one_line_on_stderr(self, capsys, argv, kind):
         code = main(argv.split())
@@ -117,6 +124,11 @@ class TestTable:
         lines = dest.read_text().splitlines()
         assert lines[0] == "x,n,u_n,operator_value,g_value,abs_error"
         assert len(lines) == 5
+
+    def test_power_past_the_moment_coefficients_is_an_overflow_cell(self, capsys):
+        code, out = run_cli(capsys, "table", "--g", "t^171", "--xs", "1", "--ns", "10")
+        assert code == 0
+        assert out.splitlines()[-1].split() == ["1", "overflow"]
 
     def test_empty_grid_writes_no_csv(self, capsys, tmp_path):
         dest = tmp_path / "t.csv"

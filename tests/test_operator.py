@@ -265,6 +265,15 @@ class TestOverflow:
         assert math.isfinite(op.value) and op.tail_bound == math.inf
 
 
+class TestBlackBoxAtTinyU:
+    @pytest.mark.parametrize("u", [1e-153, 1e-155, 1e-160, 1e-200, 1e-300])
+    def test_constant_is_kept(self, u):
+        # the window reaches t ~ 50/u, where (x - t)^2 overflows and the
+        # tilted mode u^2 x/(u - a)^2 is 0/0 if u^2 is taken first
+        op = apply(BlackBox(lambda t: 1.0, growth_rate=0.0), u, 1.0)
+        assert abs(op.value - 1.0) <= op.inner_integral_error + sys.float_info.epsilon
+
+
 class TestBlackBoxNearGrowthEdge:
     @pytest.mark.parametrize("u", [2.5, 3.0])
     @pytest.mark.parametrize("x", [0.1, 1.0])
@@ -379,6 +388,12 @@ class TestKernel:
     def test_far_apart_points(self, u, near, far, want):
         # (x - t)^2 overflows a double once |x - t| > ~1.3e154
         assert kernel_value(u, near, far) == kernel_value(u, far, near) == want
+
+    def test_array_form_far_apart_points(self):
+        # the array form's exponent does not square x - t either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernel_values(1e-300, 0.0, np.array([1e160]))[0] == 1e-300
 
     @pytest.mark.parametrize("u, x", [(1.0, 1e160), (1e6, 1e300)])
     def test_points_whose_product_overflows(self, u, x):

@@ -8,6 +8,7 @@ series.  The hypothesis profile in conftest.py keeps the examples fixed.
 """
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -253,6 +254,36 @@ def test_blackbox_matches_the_closed_form(case, j_max):
 @given(log_uniform(0.01, 1e6), points, points)
 def test_kernel_symmetry_is_bitwise(u, x, t):
     assert kernel_value(u, x, t) == kernel_value(u, t, x)
+
+
+far_points = st.one_of(st.just(0.0), log_uniform(1e-300, 1e300))
+
+
+@st.composite
+def kernel_points(draw):
+    """(u, x, t) over the double range, t anywhere or within six of the
+    kernel's spreads sqrt(x/u) + 1/u of x, where the kernel is alive."""
+    u, x = draw(log_uniform(1e-300, 1e8)), draw(far_points)
+    spread = math.sqrt(x) / math.sqrt(u) + 1.0 / u  # <= 2e300: no overflow
+    close = deviations.map(lambda z: min(max(x + z * spread, 0.0), 1e300))
+    return u, x, draw(st.one_of(far_points, close))
+
+
+@settings(max_examples=300)
+@given(kernel_points())
+def test_kernel_forms_agree_over_the_double_range(case):
+    # finite, >= 0 and bitwise symmetric wherever u, x and t are doubles; the
+    # array form differs only by numpy's exp, one ulp off libm's at most,
+    # which the two products after it carry to at most 4 ulps of the value
+    u, x, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scalar = kernel_value(u, x, t)
+        assert scalar == kernel_value(u, t, x)
+    assert 0.0 <= scalar < math.inf
+    with np.errstate(all="ignore"):
+        array = float(_kernel_values(u, x, np.array([t]))[0])
+    assert abs(array - scalar) <= 4.0 * math.ulp(scalar)
 
 
 @given(log_uniform(0.01, 1e6), points, deviations)

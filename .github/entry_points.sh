@@ -6,10 +6,12 @@ set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
 
 szmd moments --u 1e6 --max-m 12
+szmd verify --tables none
 szmd verify --tables spot
 szmd table --rule n --paper-check
 szmd table --rule n1.5 --paper-check
 szmd table --rule n2 --paper-check
+szmd table --rule explicit:3,4,8 --xs 1 --ns 1,2,3
 szmd curve --J 15,35,50 --out "$out/curves.csv"
 szmd curve --us 15,1e6 --xs 0:2.5:126 --out "$out/c.csv"
 rc=0; szmd curve --xs 1,inf || rc=$?; test "$rc" -eq 2

@@ -27,13 +27,19 @@ CHECK_TOL = 1e-9
 
 
 def _grid_values(g, ts: np.ndarray) -> np.ndarray:
+    """g on the grid ts, in one call if g takes arrays, else point by point.
+    A value that is not finite is refused, naming the first t where it is."""
     try:
         vals = np.asarray(g(ts), dtype=np.float64)
-        if vals.shape == ts.shape:
-            return vals
     except (TypeError, ValueError):
-        pass
-    return map_scalar(g, ts)
+        vals = None
+    if vals is None or vals.shape != ts.shape:
+        vals = map_scalar(g, ts)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"function is not finite at t = {float(ts[i])!r}: {vals[i]}")
+    return vals
 
 
 @dataclass(frozen=True)

@@ -480,23 +480,38 @@ def kernel_value(u: float, x: float, t: float) -> float:
     the kernel underflows, and DBL_MIN, absorbed exactly by any nonzero root
     sum (>= 2.2e-162), turns 0/0 at x = t = 0 into r = 0.  sqrt x sqrt t
     stays finite where xt overflows, and swapping x and t only negates r, so
-    it gives the same bits.  _kernel_values takes the same steps in numpy; its
-    exp can be an ulp off libm's, which the products after it carry to at
-    most 4 ulps, and most values agree bit for bit.
+    it gives the same bits.  Where the Bessel argument z = 2u sqrt x sqrt t
+    overflows (u sqrt(xt) > ~9e307), u i0e(z) is its asymptote
+    u / sqrt(2 pi z) = sqrt(u/pi) / 2 / x^(1/4) / t^(1/4), exact to rounding
+    there and taken from u, x and t, not from z.  _kernel_values takes the
+    same steps in numpy; its exp can be an ulp off libm's, which the products
+    after it carry to at most 4 ulps, and most values agree bit for bit.
     """
     _check_point(u, x, t)
     root_x, root_t = math.sqrt(x), math.sqrt(t)
     r = (x - t) / (root_x + root_t + _DBL_MIN)
-    return u * math.exp(-u * r * r) * float(i0e(2.0 * u * (root_x * root_t)))
+    z = 2.0 * u * (root_x * root_t)
+    if z < math.inf:
+        return u * math.exp(-u * r * r) * float(i0e(z))
+    u_i0e = math.sqrt(u / math.pi) / 2.0 / math.sqrt(root_x) / math.sqrt(root_t)
+    return math.exp(-u * r * r) * u_i0e
 
 
 def _kernel_values(u, x, t: np.ndarray) -> np.ndarray:
     """kernel_value at nodes t >= 0, u and x one value or one per node, by its
-    one exponent u r^2 in numpy; u r can overflow only for u above ~1e154,
-    where the kernel is 0 (call under np.errstate, as kernel_integral does)."""
+    one exponent u r^2 and its asymptote where z overflows, in numpy; u r can
+    overflow only for u above ~1e154, where the kernel is 0 (call under
+    np.errstate, as kernel_integral does)."""
     root_x, root_t = np.sqrt(x), np.sqrt(t)
     r = (x - t) / (root_x + root_t + _DBL_MIN)
-    return u * np.exp(-u * r * r) * i0e(2.0 * u * (root_x * root_t))
+    z = 2.0 * u * (root_x * root_t)
+    e = np.exp(-u * r * r)
+    k = u * e * i0e(z)
+    over = z == np.inf
+    if over.any():
+        u_i0e = np.sqrt(u / np.pi) / 2.0 / np.sqrt(root_x) / np.sqrt(root_t)
+        k = np.where(over, e * u_i0e, k)
+    return k
 
 
 def kernel_cdf(u: float, x: float, y: float) -> float:

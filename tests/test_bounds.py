@@ -454,6 +454,12 @@ class TestKorovkin:
 NAN, INF = math.nan, math.inf
 
 
+def t2_nan_near_one(t):
+    """t^2, but NaN within 1e-3 of t = 1: a grid gauge must not skip the hole."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.where(np.abs(t - 1.0) < 1e-3, NAN, t * t)
+
+
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda: total_variation(EXPNEG, (0.0, NAN)), "interval", id="tv-nan-end"),
     pytest.param(lambda: total_variation(EXPNEG, (0.0, INF)), "interval", id="tv-inf-end"),
@@ -475,6 +481,20 @@ NAN, INF = math.nan, math.inf
                  id="lipschitz-inf-domain"),
     pytest.param(lambda: lipschitz_maximal(EXPNEG, 1.0, 1.0, step=0.0), "grid step",
                  id="lipschitz-zero-step"),
+    # each returned 0.0 (second modulus, against 0.02) or NaN
+    pytest.param(lambda: second_modulus(t2_nan_near_one, 0.1), "not finite at t",
+                 id="second-modulus-nan-value"),
+    pytest.param(lambda: modulus(t2_nan_near_one, 0.1), "not finite at t",
+                 id="modulus-nan-value"),
+    pytest.param(lambda: lipschitz_maximal(t2_nan_near_one, 1.0, 0.5), "not finite at t",
+                 id="lipschitz-nan-value"),
+    pytest.param(lambda: total_variation(t2_nan_near_one, (0.0, 2.0)), "not finite at t",
+                 id="tv-nan-value"),
+    # the first grid point past 1 is 1.125, exact in binary; g takes arrays, then scalars only
+    pytest.param(lambda: modulus(lambda t: np.where(t > 1.0, INF, t), 1.0, (0.0, 2.0), 0.125),
+                 r"not finite at t = 1\.125: inf", id="modulus-first-inf-value-array"),
+    pytest.param(lambda: modulus(lambda t: INF if t > 1.0 else t, 1.0, (0.0, 2.0), 0.125),
+                 r"not finite at t = 1\.125: inf", id="modulus-first-inf-value-scalar"),
 ])
 def test_non_finite_or_degenerate_argument_is_refused(call, name):
     # each returned a number, raised a RuntimeWarning or an unrelated error
@@ -482,3 +502,4 @@ def test_non_finite_or_degenerate_argument_is_refused(call, name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=name):
             call()
+

@@ -406,6 +406,20 @@ class TestKernel:
             got = (kernel_value(u, x, x), float(_kernel_values(u, x, np.array([x]))[0]))
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
+    @pytest.mark.parametrize("u, x, want", [(1.0, 1e308, 2.82e-155), (1e8, 1e300, 2.82e-147)])
+    def test_points_whose_bessel_argument_overflows(self, u, x, want):
+        # 2u sqrt x sqrt t is beyond the double range, where i0e(inf) reads 0
+        with mp.workdps(40):
+            u_mp, x_mp = mp.mpf(u), mp.mpf(x)
+            ref = float(u_mp * mp.exp(-2 * u_mp * x_mp) * mp.besseli(0, 2 * u_mp * x_mp))
+        np.testing.assert_allclose(ref, want, rtol=1e-3)
+        # the array form mixes such a node with a node of finite argument
+        with np.errstate(over="ignore"):
+            values = _kernel_values(u, x, np.array([x, 1.0]))
+        got = (kernel_value(u, x, x), float(values[0]))
+        np.testing.assert_allclose(got, ref, rtol=1e-13)
+        assert values[1] == kernel_value(u, x, 1.0) == 0.0
+
     def test_integrates_to_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)

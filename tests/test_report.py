@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szmd import operator
+from szmd import operator, report
 from szmd.bounds import korovkin_sup_error
 from szmd.operator import SequenceRule
 from szmd.report import (
@@ -333,3 +333,44 @@ class TestVerificationSuite:
         assert "central-moment-recurrence" in names
         assert "kernel-normalization" in names
         assert "truncation-study" in names
+
+    def test_nan_sample_fails_its_check(self, monkeypatch):
+        # a running max() keeps its old value when the new one is NaN
+        calls, exact = [], report.raw_moment
+
+        def raw_moment(u, x, m):
+            calls.append(m)
+            return math.nan if len(calls) == 7 else exact(u, x, m)
+
+        monkeypatch.setattr(report, "raw_moment", raw_moment)
+        check = {c.name: c for c in run_verification_suite("none")}["raw-moments-closed-form"]
+        assert len(calls) == 200
+        assert math.isnan(check.measured) and not check.passed
+
+    def test_nan_reference_cell_fails_the_spot_check(self, monkeypatch):
+        row = list(REFERENCE_ABS_ERRORS["n"][1.0])
+        row[REFERENCE_NS.index(100)] = math.nan
+        monkeypatch.setitem(REFERENCE_ABS_ERRORS["n"], 1.0, tuple(row))
+        monkeypatch.setitem(REFERENCE_SPOT_CHECKS, ("n", 1.0, 100), math.nan)
+        check = {c.name: c for c in run_verification_suite("spot")}["reference-spot-checks"]
+        assert math.isnan(check.measured) and not check.passed
+
+    def test_full_table_figures_match_a_recomputation(self):
+        devs = {}
+        for label, rows in REFERENCE_ABS_ERRORS.items():
+            rule = operator.parse_rule(label)
+            for x, row in rows.items():
+                gx = float(X2E2X(x))
+                for n, want in zip(REFERENCE_NS, row):
+                    got = abs(operator.apply(X2E2X, rule.u_value(n), x).value - gx)
+                    devs[label, x, n] = abs(got - want) / want
+        checks = run_verification_suite("full")
+        assert [c.name for c in checks[-2:]] == ["reference-spot-checks", "reference-tables-full"]
+        spot, full = checks[-2:]
+        assert len(checks) == 17 and all(c.passed for c in checks)
+        assert spot.measured == pytest.approx(max(devs[k] for k in REFERENCE_SPOT_CHECKS),
+                                              rel=1e-12)
+        assert full.measured == pytest.approx(max(devs.values()), rel=1e-12)
+        assert len(devs) == 147
+        bad = sum(d > 1e-3 for d in devs.values())
+        assert full.detail == f"{bad} cell(s) off by more than 0.1%"

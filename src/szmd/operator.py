@@ -117,11 +117,12 @@ def parse_rule(text: str) -> SequenceRule:
     if s.startswith("explicit:"):
         vals = [float(v) for v in s.split(":", 1)[1].split(",") if v.strip()]
         return SequenceRule.from_explicit(vals)
-    if s == "n":
-        return SequenceRule.identity()
-    if s.startswith("n"):
-        return SequenceRule.from_power(float(s[1:].lstrip("^")))
-    raise ValueError(f"cannot parse sequence rule {text!r}")
+    exponent = (s[1:] or "1").lstrip("^") if s.startswith("n") else ""
+    try:
+        power = float(exponent)
+    except ValueError:
+        raise ValueError(f"cannot parse sequence rule {text!r}") from None
+    return SequenceRule.from_power(power)
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,13 @@ class OperatorValue:
     for a black box it is 0.0 and inner_integral_error is the error
     estimate of its kernel integral.
 
-    apply_truncated: series_terms_used = J + 1 and tail_mass is the Poisson
-    weight mass beyond J, which can be large when J sits below the mode ux.
-    tail_bound covers the distance from the returned value to the exact
-    operator value.  For a structured target it is the closed form of the
-    |g|-majorant minus its partial sum to J, plus the rounding budgets of
-    both, counted once for the majorant and once for the value, so it also
-    covers the distance to the closed form.  For a black box it is the
-    integral of |g| against the full kernel minus that against the
-    truncated one, plus both error estimates.
+    apply_truncated (structured targets only): series_terms_used = J + 1 and
+    tail_mass is the Poisson weight mass beyond J, which can be large when J
+    sits below the mode ux.  tail_bound covers the distance from the returned
+    value to the exact operator value: the closed form of the |g|-majorant
+    minus its partial sum to J, plus the rounding budgets of both, counted
+    once for the majorant and once for the value, so it also covers the
+    distance to the closed form.
 
     inner_integral_error is 0.0 for structured targets.
     """
@@ -340,17 +339,17 @@ def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float,
     return lo, hi, points
 
 
-def window_integral(u, x, g, rate: float = 0.0, kinks=(), kernel=None):
-    """Integrals of kernel(u, x, t) g(t, x), kernel K(x, .) by default, and their
-    error estimates at the points of the broadcast u and x, over the windows of a
-    target of growth rate `rate` with break points `kinks`: one batched
-    kernel_integral, shaped like the broadcast (plus k when g returns k columns).
-    Raises OperatorOverflow when g or an integral overflows."""
+def window_integral(u, x, g, rate: float = 0.0, kinks=()):
+    """Integrals of K(x, t) g(t, x) and their error estimates at the points of
+    the broadcast u and x, over the windows of a target of growth rate `rate`
+    with break points `kinks`: one batched kernel_integral, shaped like the
+    broadcast (plus k when g returns k columns).  Raises OperatorOverflow
+    when g or an integral overflows."""
     u, x = np.broadcast_arrays(u, x) if np.shape(u) != np.shape(x) else map(np.asarray, (u, x))
     windows = [_blackbox_window(ui, xi, rate, kinks)
                for ui, xi in zip(u.ravel().tolist(), x.ravel().tolist())]
     try:
-        value, error = kernel_integral(kernel or _kernel_values, g, u.ravel(), x.ravel(), windows)
+        value, error = kernel_integral(_kernel_values, g, u.ravel(), x.ravel(), windows)
     except OverflowError as exc:
         raise OperatorOverflow(f"black-box integral overflows: {exc}") from exc
     return value.reshape(u.shape + value.shape[1:]), error.reshape(u.shape + error.shape[1:])
@@ -408,67 +407,37 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     )
 
 
+def _check_truncation(g: TargetFunction, j_max) -> tuple[tuple, int]:
+    """g's exp-poly terms and int(J), for a whole number J >= 0 and a structured g."""
+    if not (float(j_max).is_integer() and j_max >= 0):
+        raise ValueError(f"J must be >= 0 and a whole number, got {j_max}")
+    terms = exppoly_terms(g)
+    if terms is None:
+        raise ValueError("the truncated series is only for structured targets (ExpPolySum)")
+    return terms, int(j_max)
+
+
 def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> OperatorValue:
     """Operator with the series cut after index j_max: the truncation study.
 
-    A structured target sums the series with exact inner integrals.  A black
-    box is integrated against the truncated kernel u sum_{j<=J} s_j(x) s_j(t),
-    built on each round's nodes from the weights at x, in one two-column
-    integral with |g|; a second integral, of |g| against the full kernel,
-    gives the tail bound.  tail_mass reports the actual neglected Poisson
-    mass, which can be large when j_max sits below the mode ux.
+    The series of a structured target is summed with exact inner integrals;
+    a black box, or a J that is not a whole number >= 0, is refused with
+    ValueError.  tail_mass reports the actual neglected Poisson mass, which
+    can be large when j_max sits below the mode ux.
     """
     _check_domain(g, u, x)
-    if j_max < 0:
-        raise ValueError(f"J must be >= 0, got {j_max}")
-    terms = exppoly_terms(g)
-    if terms is None:
-        j = np.arange(1.0, j_max + 1.0)
-        lw = log_weights(u, x, j)
-        keep = lw > _LN_TINY  # s_j(x) s_j(t) <= s_j(x): the rest underflow
-        j, ln_sq = j[keep], 2.0 * lw[keep]  # none at x = 0
-
-        def truncated(_u, _x, t: np.ndarray) -> np.ndarray:
-            # j = 0, then ln s_j(t) = ln s_j(x) + j ln(t/x) - u(t - x) in row
-            # blocks of at most 2^20 terms; t/x overflows only for
-            # x < t/DBL_MAX, where the capped terms are below u^2 t/DBL_MAX
-            out = np.exp(-u * (x + t))
-            rows = 2**20 // max(j.size, 1) + 1
-            for k in range(0, t.size if j.size else 0, rows):
-                tk = t[k:k + rows]
-                ln_ratio = np.log1p(np.minimum((tk - x) / x, sys.float_info.max))
-                log_terms = ln_sq + np.multiply.outer(ln_ratio, j) - (u * (tk - x))[:, None]
-                out[k:k + rows] += np.exp(log_terms).sum(axis=1)
-            return u * out
-
-        def columns(t: np.ndarray, _) -> np.ndarray:
-            gt = g(t)
-            return np.stack([gt, np.abs(gt)], axis=1)
-
-        (value, cut), (inner_err, cut_err) = window_integral(u, x, columns, g.growth_rate,
-                                                             g.kinks, truncated)
-        full, full_err = window_integral(u, x, lambda t, _: np.abs(g(t)), g.growth_rate, g.kinks)
-        value, inner_err = float(value), float(inner_err)
-        tail_bound = float(max(full - cut, 0.0) + full_err + cut_err)
-    else:
-        value, majorant, budget = _partial_sums(u, x, terms, j_max)
-        if not math.isfinite(value):
-            raise OperatorOverflow(f"partial sum to J={j_max} is not finite: {value}")
-        # the |g|-majorant's closed form minus its partial sum, plus both
-        # rounding budgets counted twice (majorant and value)
-        try:
-            total, total_budget = _closed_form(u, x, [(abs(c), m, a) for c, m, a in terms])
-            tail_bound = max(total - majorant, 0.0) + 2.0 * (total_budget + budget)
-        except OperatorOverflow:
-            tail_bound = math.inf
-        inner_err = 0.0
-    return OperatorValue(
-        value=value,
-        series_terms_used=j_max + 1,
-        tail_mass=tail_mass(u, x, j_max),
-        tail_bound=tail_bound,
-        inner_integral_error=inner_err,
-    )
+    terms, j_max = _check_truncation(g, j_max)
+    value, majorant, budget = _partial_sums(u, x, terms, j_max)
+    if not math.isfinite(value):
+        raise OperatorOverflow(f"partial sum to J={j_max} is not finite: {value}")
+    # the |g|-majorant's closed form minus its partial sum, plus both
+    # rounding budgets counted twice (majorant and value)
+    try:
+        total, total_budget = _closed_form(u, x, [(abs(c), m, a) for c, m, a in terms])
+        tail_bound = max(total - majorant, 0.0) + 2.0 * (total_budget + budget)
+    except OperatorOverflow:
+        tail_bound = math.inf
+    return OperatorValue(value, j_max + 1, tail_mass(u, x, j_max), tail_bound, 0.0)
 
 
 def kernel_value(u: float, x: float, t: float) -> float:

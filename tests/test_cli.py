@@ -68,6 +68,10 @@ class TestRefusals:
                      id="eval-u-overflows"),
         pytest.param("eval --g nosuch### --u 10 --x 1.0", "cannot parse target",
                      id="unknown-target"),
+        pytest.param("eval --g t --rule n^ --x 1", "cannot parse sequence rule 'n^'",
+                     id="rule-without-exponent"),
+        pytest.param("eval --g t --rule nx --x 1", "cannot parse sequence rule 'nx'",
+                     id="rule-with-bad-exponent"),
         pytest.param("curve --us 10,20 --J 5", "one truncation index per u",
                      id="curve-unmatched-J"),
         pytest.param("table --rule n --xs 0.3,0.7 --paper-check", "no cell on the reference grid",

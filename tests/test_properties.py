@@ -4,7 +4,7 @@ exp-poly targets and regimes.
 Values are checked against 40-digit mpmath references that do not share the
 closed form under test: the operator's series summed as a Kummer function,
 the kernel as a Bessel function, the kernel CDF as its incomplete-gamma
-series.  The hypothesis profile in conftest.py keeps the examples fixed.
+series; the partial series is summed term by term at 50 digits.  The hypothesis profile in conftest.py keeps the examples fixed.
 """
 import math
 import sys
@@ -32,6 +32,7 @@ from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum
 EPS = sys.float_info.epsilon
 LN_DBL_MAX = math.log(sys.float_info.max)
 X2E2X = BUILTIN_TARGETS["x2e2x"]
+NEGX3E5X = BUILTIN_TARGETS["negx3e5x"]
 
 
 def kummer_oracle(u, x, m, a):
@@ -49,6 +50,23 @@ def oracle(terms, u, x):
     with mp.workdps(40):
         parts = [(c, kummer_oracle(u, x, m, a)) for c, m, a in terms]
         return mp.fsum(c * b for c, b in parts), mp.fsum(abs(c) * b for c, b in parts)
+
+
+def partial_sum_oracle(terms, u, x, j_max):
+    """sum_k c_k B_J(t^m e^{at}; x) at 50 digits, B_J the series cut after J:
+    u sum_{j<=J} s_j(x) u^j (j+m)!/(j! (u-a)^{j+m+1}), each term from the one
+    before by the ratio (ux/(j+1)) u(j+m+1)/((j+1)(u-a))."""
+    with mp.workdps(50):
+        u, x = mp.mpf(u), mp.mpf(x)
+        value = mp.mpf(0)
+        for c, m, a in terms:
+            d = u - a
+            term = total = u * mp.exp(-u * x) * mp.factorial(m) / d ** (m + 1)
+            for j in range(j_max):
+                term *= u * x * u * (j + m + 1) / ((j + 1) ** 2 * d)
+                total += term
+            value += c * total
+        return value
 
 
 def apply_or_skip(terms, u, x):
@@ -221,11 +239,10 @@ def test_partial_sum_far_past_the_mode_matches(case):
 
 
 @settings(max_examples=30)
-@given(regimes(), st.integers(0, 60))
-def test_blackbox_matches_the_closed_form(case, j_max):
+@given(regimes())
+def test_blackbox_matches_the_closed_form(case):
     # the kernel integral of a wrapped exp-poly target against the closed
-    # form and the exactly summed partial series, within 1e-12 of the
-    # |g|-majorant sum_k |c_k| B_k
+    # form, within 1e-12 of the |g|-majorant sum_k |c_k| B_k
     terms, u, x = case
     g = ExpPolySum(terms)
 
@@ -243,8 +260,45 @@ def test_blackbox_matches_the_closed_form(case, j_max):
         assume(False)
     majorant = apply(ExpPolySum(tuple((abs(c), m, a) for c, m, a in terms)), u, x).value
     assert abs(op.value - apply(g, u, x).value) <= 1e-12 * majorant
-    trunc = apply_truncated(box, u, x, j_max)
-    assert abs(trunc.value - apply_truncated(g, u, x, j_max).value) <= 1e-12 * majorant
+
+
+@pytest.mark.parametrize("u, x, j_max", [
+    pytest.param(15.0, 1.0, 0, id="15-1-J0"),
+    pytest.param(15.0, 1.0, 15, id="15-1-J15"),
+    pytest.param(15.0, 1.0, 60, id="15-1-J60"),
+    pytest.param(15.0, 0.0, 0, id="origin-J0"),  # at x = 0 only j = 0 carries weight
+    pytest.param(15.0, 0.0, 5, id="origin-J5"),
+    pytest.param(1e5, 5.56e-313, 5, id="subnormal-x"),  # s_1(x) ~ e^-707
+    pytest.param(1e4, 1.0, 20_000, id="ux-1e4-J20000"),  # J = 2 ux
+])
+def test_partial_sum_matches_a_50_digit_series(u, x, j_max):
+    # the majorant is the |g|-majorant's closed form, as in the property below
+    want = partial_sum_oracle(NEGX3E5X.terms, u, x, j_max)
+    majorant = abs(apply(NEGX3E5X, u, x).value)
+    assert abs(apply_truncated(NEGX3E5X, u, x, j_max).value - want) <= 1e-12 * majorant
+
+
+def test_the_series_oracle_tells_j2_from_j3():
+    # the 1e-12 majorant tolerance above separates neighbouring cuts
+    j2 = partial_sum_oracle(NEGX3E5X.terms, 15.0, 1.0, 2)
+    j3 = partial_sum_oracle(NEGX3E5X.terms, 15.0, 1.0, 3)
+    got = apply_truncated(NEGX3E5X, 15.0, 1.0, 3).value
+    majorant = abs(apply(NEGX3E5X, 15.0, 1.0).value)
+    assert abs(got - j3) <= 1e-12 * majorant < abs(got - j2)
+
+
+@given(regimes(), st.integers(0, 60))
+def test_partial_sum_matches_a_50_digit_series_in_every_regime(case, j_max):
+    # the exactly summed partial series, within 1e-12 of the |g|-majorant
+    # sum_k |c_k| B_k
+    terms, u, x = case
+    majorant = apply_or_skip(tuple((abs(c), m, a) for c, m, a in terms), u, x).value
+    try:
+        got = apply_truncated(ExpPolySum(terms), u, x, j_max).value
+    except OperatorOverflow:
+        assume(False)
+    want = partial_sum_oracle(terms, u, x, j_max)
+    assert abs(got - want) <= 1e-12 * majorant
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from szmd import operator, report
 from szmd.bounds import korovkin_sup_error
-from szmd.operator import SequenceRule
+from szmd.operator import SequenceRule, parse_rule
 from szmd.report import (
     REFERENCE_ABS_ERRORS,
     REFERENCE_NS,
@@ -114,6 +115,45 @@ class TestReferenceComparison:
         t = make_error_table(X2E2X, SequenceRule.from_power(3.0), xs=(1.0,), ns=(10,))
         with pytest.raises(ValueError):
             compare_with_reference(t)
+
+    def test_verify_reads_the_deviations_the_records_carry(self):
+        t = make_error_table(X2E2X, parse_rule("n^2"))
+        devs = report._reference_deviations("n^2")
+        assert len(devs) == len(t.cells) == 49
+        # rtol=-1 keeps every cell, exact matches too
+        assert devs == [m.rel_deviation for m in compare_with_reference(t, rtol=-1.0)]
+
+    def test_one_cell_misses_its_printed_digits(self):
+        # each cell rounded to as many significant digits as the paper prints,
+        # for the library and for |B(g;x) - g(x)| at 50 digits, B from the
+        # Kummer function 2u (u-2)^-3 e^{-ux} 1F1(3; 1; u^2 x/(u-2))
+        def exact(u, x):
+            with mp.workdps(50):
+                u, x = mp.mpf(u), mp.mpf(x)
+                b = 2 * u * (u - 2) ** -3 * mp.exp(-u * x) * mp.hyp1f1(3, 1, u * u * x / (u - 2))
+                return abs(b - x * x * mp.exp(2 * x))
+
+        def rounded(v, printed):
+            digits = len(np.format_float_scientific(printed, unique=True).split("e")[0]) - 1
+            return f"{float(v):.{digits - 1}e}"
+
+        cells, misprints = 0, []
+        for label, rows in REFERENCE_ABS_ERRORS.items():
+            table = make_error_table(X2E2X, parse_rule(label))
+            for x, printed_row in rows.items():
+                for n, printed in zip(REFERENCE_NS, printed_row):
+                    cell = table.cell(x, n)
+                    ok = rounded(cell.abs_error, printed) == rounded(printed, printed)
+                    assert ok == (rounded(exact(cell.u, x), printed) == rounded(printed, printed))
+                    cells += 1
+                    misprints += [] if ok else [(label, x, n)]
+        assert (cells - len(misprints), cells) == (146, 147)
+        assert misprints == [("n^2", 0.1, 500)]
+        cell = make_error_table(X2E2X, parse_rule("n^2"), xs=(0.1,), ns=(500,)).cell(0.1, 500)
+        want = exact(cell.u, 0.1)
+        assert mp.nstr(want, 12) == "2.46246538971e-6"
+        np.testing.assert_allclose(cell.abs_error, float(want), rtol=1e-9)
+        assert REFERENCE_ABS_ERRORS["n^2"][0.1][REFERENCE_NS.index(500)] == 2.462477e-6
 
     def test_reference_data_shape(self):
         for label, rows in REFERENCE_ABS_ERRORS.items():
@@ -272,6 +312,39 @@ class TestCurves:
         cut = dict(series[2].points)
         assert series[2].truncation_j == 50
         assert abs(cut[2.5] - full[2.5]) > 1e3 * abs(cut[0.1] - full[0.1])
+
+    @pytest.mark.parametrize("j", [2.7, math.nan, math.inf, -1])
+    def test_j_that_is_not_a_whole_number_is_refused_first(self, monkeypatch, j):
+        # int(2.7) would build the series u=15,J=2 without a word
+        calls = []
+
+        class Counting(type(NEGX3E5X)):
+            def __call__(self, t):
+                calls.append("target")
+                return super().__call__(t)
+
+        def counting_grid(u, xs, terms):
+            calls.append("closed form")
+            return closed_form_grid(u, xs, terms)
+
+        closed_form_grid = operator._closed_form_grid
+        monkeypatch.setattr(operator, "_closed_form_grid", counting_grid)
+        with pytest.raises(ValueError, match="J must be >= 0 and a whole number"):
+            make_curves(Counting(NEGX3E5X.terms), [15.0], [0.0, 1.0], truncation_js=[j])
+        assert calls == []
+
+    def test_whole_number_j_is_taken_as_an_int(self):
+        series = make_curves(NEGX3E5X, [15.0, 35.0], [0.0, 1.0], truncation_js=[np.int64(15), 35.0])
+        assert [(s.label, s.truncation_j) for s in series[3:]] == [("u=15,J=15", 15),
+                                                                   ("u=35,J=35", 35)]
+        assert all(type(s.truncation_j) is int for s in series[3:])
+
+    def test_truncated_blackbox_is_refused_before_the_target_runs(self):
+        def g(t):
+            raise AssertionError("the black box ran")
+
+        with pytest.raises(ValueError, match=r"only for structured targets \(ExpPolySum\)"):
+            make_curves(BlackBox(g, growth_rate=0.0), [15.0], [0.0, 1.0], truncation_js=[15])
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ rc=0; szmd moments --u 10 --max-m -1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --xs 0:1:0 || rc=$?; test "$rc" -eq 2
 rc=0; szmd eval --g 't^170' --u 10 --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd eval --g t --rule 'n^' --x 1 || rc=$?; test "$rc" -eq 2
+rc=0; szmd table --rule explicit:1,x || rc=$?; test "$rc" -eq 2
 szmd eval --g '2*t^2 - 0.5*t + 3' --u 100 --x 1 --J 80
 szmd bounds --which dbv --g t2 --u 400 --x 1
 szmd bounds --which kfunctional --g expneg --u 1e3 --x 1

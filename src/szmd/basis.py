@@ -3,15 +3,37 @@
 The basis weight s_{u,j}(x) = e^{-ux} (ux)^j / j! is a Poisson probability
 mass in j with mean ux, so the mass a series cut after index J neglects is
 the regularized incomplete gamma function.
+
+gammainc and gammaln start as stubs: scipy.special takes ~0.25 s to import
+and only tail_mass and log_weights use it, so the closed forms never load
+it.  The first call of either stub imports scipy.special and rebinds both
+names to its ufuncs, so every later call is scipy's own, with no wrapper.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 _LN_2PI = math.log(2.0 * math.pi)
+
+
+def _bind_special() -> None:
+    global gammainc, gammaln
+    from scipy.special import gammainc, gammaln
+
+
+def _gammainc_stub(a, x):
+    _bind_special()
+    return gammainc(a, x)
+
+
+def _gammaln_stub(x):
+    _bind_special()
+    return gammaln(x)
+
+
+gammainc, gammaln = _gammainc_stub, _gammaln_stub
 
 
 def _check_point(u: float, x: float, t: float = 0.0) -> None:

@@ -19,6 +19,12 @@ adaptive quadrature; the quadrature takes the kernel in an array form
 series is summed only for the fixed-J truncation study.  Every value ships
 with a bound on what its evaluation neglected or rounded.  The kernel's
 distribution function has a noncentral chi-square closed form.
+
+i0e and chndtr start as stubs: scipy.special takes ~0.25 s to import and
+only the kernel, its array form and its CDF use it, so apply on a
+structured target, make_error_table and make_curves without J never load
+it.  The first call of either stub imports scipy.special and rebinds both
+names to its ufuncs, so every later call is scipy's own, with no wrapper.
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, i0e
 
 from .basis import _check_point, log_weights, tail_mass
 from .moments import raw_moment_lambda_coeffs
@@ -40,6 +45,24 @@ _LN_DBL_MAX = math.log(sys.float_info.max)
 _DBL_MIN = sys.float_info.min
 _LN_TINY = math.log(_DBL_MIN * _EPS)  # the smallest subnormal
 _TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
+
+
+def _bind_special() -> None:
+    global chndtr, i0e
+    from scipy.special import chndtr, i0e
+
+
+def _chndtr_stub(x, df, nc):
+    _bind_special()
+    return chndtr(x, df, nc)
+
+
+def _i0e_stub(z):
+    _bind_special()
+    return i0e(z)
+
+
+chndtr, i0e = _chndtr_stub, _i0e_stub
 
 
 class OperatorOverflow(OverflowError):
@@ -114,15 +137,16 @@ class SequenceRule:
 def parse_rule(text: str) -> SequenceRule:
     """Parse 'n', 'n1.5', 'n^2', or 'explicit:1,2,4'."""
     s = text.strip().lower()
-    if s.startswith("explicit:"):
-        vals = [float(v) for v in s.split(":", 1)[1].split(",") if v.strip()]
-        return SequenceRule.from_explicit(vals)
-    exponent = (s[1:] or "1").lstrip("^") if s.startswith("n") else ""
+    explicit = s.startswith("explicit:")
+    if explicit:
+        fields = [v for v in s.split(":", 1)[1].split(",") if v.strip()]
+    else:
+        fields = [(s[1:] or "1").lstrip("^") if s.startswith("n") else ""]
     try:
-        power = float(exponent)
+        vals = [float(v) for v in fields]
     except ValueError:
         raise ValueError(f"cannot parse sequence rule {text!r}") from None
-    return SequenceRule.from_power(power)
+    return SequenceRule.from_explicit(vals) if explicit else SequenceRule.from_power(vals[0])
 
 
 @dataclass(frozen=True)

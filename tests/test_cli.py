@@ -72,6 +72,8 @@ class TestRefusals:
                      id="rule-without-exponent"),
         pytest.param("eval --g t --rule nx --x 1", "cannot parse sequence rule 'nx'",
                      id="rule-with-bad-exponent"),
+        pytest.param("table --rule explicit:1,x", "cannot parse sequence rule 'explicit:1,x'",
+                     id="explicit-rule-with-bad-entry"),
         pytest.param("curve --us 10,20 --J 5", "one truncation index per u",
                      id="curve-unmatched-J"),
         pytest.param("table --rule n --xs 0.3,0.7 --paper-check", "no cell on the reference grid",

@@ -4,10 +4,9 @@ The basis weight s_{u,j}(x) = e^{-ux} (ux)^j / j! is a Poisson probability
 mass in j with mean ux, so the mass a series cut after index J neglects is
 the regularized incomplete gamma function.
 
-gammainc and gammaln start as stubs: scipy.special takes ~0.25 s to import
-and only tail_mass and log_weights use it, so the closed forms never load
-it.  The first call of either stub imports scipy.special and rebinds both
-names to its ufuncs, so every later call is scipy's own, with no wrapper.
+scipy.special takes ~0.25 s to import and only tail_mass and log_weights use
+it here, so the closed forms never load it: gammainc and gammaln, like
+operator.py's names, are bound on first call by _special_on_first_call.
 """
 from __future__ import annotations
 
@@ -18,22 +17,23 @@ import numpy as np
 _LN_2PI = math.log(2.0 * math.pi)
 
 
-def _bind_special() -> None:
-    global gammainc, gammaln
-    from scipy.special import gammainc, gammaln
+def _special_on_first_call(namespace: dict, *names: str) -> tuple:
+    """Stubs for the scipy.special ufuncs `names` of the module whose globals()
+    is namespace.  The first call of any imports scipy.special, rebinds every
+    name there to its ufunc, so later calls are scipy's own with no wrapper,
+    and forwards the call.  Named _stub: bench/tracer.py skips private names."""
+    def stub(name):
+        def _stub(*args):
+            import scipy.special
+
+            namespace.update((n, getattr(scipy.special, n)) for n in names)
+            return namespace[name](*args)
+        return _stub
+
+    return tuple(map(stub, names))
 
 
-def _gammainc_stub(a, x):
-    _bind_special()
-    return gammainc(a, x)
-
-
-def _gammaln_stub(x):
-    _bind_special()
-    return gammaln(x)
-
-
-gammainc, gammaln = _gammainc_stub, _gammaln_stub
+gammainc, gammaln = _special_on_first_call(globals(), "gammainc", "gammaln")
 
 
 def _check_point(u: float, x: float, t: float = 0.0) -> None:

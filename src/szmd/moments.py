@@ -33,6 +33,15 @@ def raw_moment_lambda_coeffs(m: int) -> tuple[int, ...]:
     return tuple(math.comb(m, l) * math.perm(m, m - l) for l in range(m + 1))
 
 
+@lru_cache(maxsize=None)
+def _lambda_coeff_floats(m: int) -> tuple[float, ...]:
+    """raw_moment_lambda_coeffs(m) as floats, converted once for every closed
+    form; from m = 167 the largest of them is beyond the double range."""
+    if m >= 167:
+        raise OverflowError(f"the moment coefficients of t^{m} overflow a double (m >= 167)")
+    return tuple(map(float, raw_moment_lambda_coeffs(m)))
+
+
 def raw_moment(u: float, x: float, m: int) -> float:
     """Operator applied to t^m at x, in exact closed form.
 
@@ -42,7 +51,7 @@ def raw_moment(u: float, x: float, m: int) -> float:
     _check_point(u, x)
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
-    coeffs = raw_moment_lambda_coeffs(m)
+    coeffs = _lambda_coeff_floats(m)
     return float(sum(a * x**l * u ** float(l - m) for l, a in enumerate(coeffs)))
 
 

@@ -20,11 +20,9 @@ series is summed only for the fixed-J truncation study.  Every value ships
 with a bound on what its evaluation neglected or rounded.  The kernel's
 distribution function has a noncentral chi-square closed form.
 
-i0e and chndtr start as stubs: scipy.special takes ~0.25 s to import and
-only the kernel, its array form and its CDF use it, so apply on a
-structured target, make_error_table and make_curves without J never load
-it.  The first call of either stub imports scipy.special and rebinds both
-names to its ufuncs, so every later call is scipy's own, with no wrapper.
+i0e and chndtr are bound on first call (basis._special_on_first_call): only
+the kernel, its array form and its CDF use scipy.special, so apply on a
+structured target, make_error_table and make_curves without J never load it.
 """
 from __future__ import annotations
 
@@ -35,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_point, log_weights, tail_mass
-from .moments import raw_moment_lambda_coeffs
+from .basis import _check_point, _special_on_first_call, log_weights, tail_mass
+from .moments import _lambda_coeff_floats
 from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import TargetFunction, exppoly_terms
 
@@ -47,22 +45,7 @@ _LN_TINY = math.log(_DBL_MIN * _EPS)  # the smallest subnormal
 _TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
 
 
-def _bind_special() -> None:
-    global chndtr, i0e
-    from scipy.special import chndtr, i0e
-
-
-def _chndtr_stub(x, df, nc):
-    _bind_special()
-    return chndtr(x, df, nc)
-
-
-def _i0e_stub(z):
-    _bind_special()
-    return i0e(z)
-
-
-chndtr, i0e = _chndtr_stub, _i0e_stub
+chndtr, i0e = _special_on_first_call(globals(), "chndtr", "i0e")
 
 
 class OperatorOverflow(OverflowError):
@@ -180,7 +163,7 @@ class OperatorValue:
 def _log_moment_poly(m: int, lam: float) -> float:
     """ln sum_l A_m[l] lam^l by Horner's rule, in 1/lam once lam > 1 so no
     power of lam overflows; A_m[0] = m! and A_m[m] = 1 keep the sum >= 1."""
-    coeffs = raw_moment_lambda_coeffs(m)
+    coeffs = _lambda_coeff_floats(m)
     if lam <= 1.0:
         acc = 0.0
         for c in reversed(coeffs):
@@ -244,7 +227,7 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
 def _log_moment_polys(m: int, lam: np.ndarray) -> np.ndarray:
     """_log_moment_poly at each entry of the array lam >= 0, by the same
     Horner steps on the entries with lam <= 1 and on those with lam > 1."""
-    coeffs = [float(c) for c in raw_moment_lambda_coeffs(m)]
+    coeffs = _lambda_coeff_floats(m)
     small = lam <= 1.0
     big = np.where(small, 1.0, lam)
     low, inv = np.where(small, lam, 0.0), 1.0 / big

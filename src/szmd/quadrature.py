@@ -128,13 +128,14 @@ def kernel_integral(kernel, g, u, x, windows):
     every subinterval whose error estimate exceeds both its length's share
     of 1e-13 |integral| and its rounding floor, until for each point the
     total error is below 1e-13 |integral|, no subinterval qualifies, or
-    there are 200.  A subinterval carries its point's index, and a point's
-    subintervals stay together in their order alone; budgets, splits, the
-    cap and the totals (one np.add.reduceat over the cut indices) are per
-    point, so each is refined and rounded bit for bit as if alone.  Raises
-    ConvergenceFailure when g is not finite at a node or an error estimate
-    exceeds 1e-6 |value|, and OverflowError when g raises it or an integral
-    leaves the double range, naming u, x."""
+    there are 200.  A subinterval carries its point's index; a round keeps
+    the unsplit ones in order and appends the left, then the right halves,
+    so each point's subintervals keep their order alone.  Budgets, splits,
+    the cap and the totals (one np.bincount over (column, point) keys, which
+    adds in that order) are per point, so each point is refined and rounded
+    bit for bit as if alone.  Raises ConvergenceFailure when g is not finite
+    at a node or an error estimate exceeds 1e-6 |value|, and OverflowError
+    when g raises it or an integral leaves the double range, naming u, x."""
     u, x = np.asarray(u, dtype=np.float64), np.asarray(x, dtype=np.float64)
     size, width = len(windows), np.array([hi - lo for lo, hi, _ in windows])
     prob, a, b = (np.array(c) for c in zip(*(
@@ -142,9 +143,12 @@ def kernel_integral(kernel, g, u, x, windows):
         for lo, hi in zip((start, *points), (*points, end)))))
     with np.errstate(all="ignore"):
         value, error, floor = _gk21(kernel, g, u[prob], x[prob], a, b)
+        # column c of point p sums into bin c * size + p; one column unless g has k
+        column = np.arange(value.size // len(a))[:, None] * size
         while True:
-            cuts = np.searchsorted(prob, np.arange(size))
-            total, total_error = (np.add.reduceat(v, cuts, axis=-1) for v in (value, error))
+            keys = (column + prob).ravel()
+            total, total_error = (np.bincount(keys, v.ravel(), column.size * size)
+                                  .reshape(v.shape[:-1] + (size,)) for v in (value, error))
             budget = _REL_TOL * np.abs(total)
             split = (error > budget[..., prob] * ((b - a) / width[prob])) & (error > floor)
             split &= (total_error > budget)[..., prob]
@@ -168,11 +172,6 @@ def kernel_integral(kernel, g, u, x, windows):
             prob = np.concatenate([prob[keep], halves])
             value, error, floor = (np.concatenate([old[..., keep], new], axis=-1)
                                    for old, new in zip((value, error, floor), fresh))
-            if size > 1:
-                # per point: kept subintervals, left halves, right halves, as alone
-                order = np.argsort(prob, kind="stable")
-                a, b, prob = a[order], b[order], prob[order]
-                value, error, floor = (v[..., order] for v in (value, error, floor))
         bad = ~(np.isfinite(total) & np.isfinite(total_error))
         loose = total_error > _MAX_REL_ERROR * np.abs(total)
     for hit, refusal, what in ((bad, OverflowError, "is not finite"),

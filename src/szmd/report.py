@@ -237,14 +237,15 @@ def write_curves_csv(series: list[CurveSeries], path: str) -> None:
 
 
 def format_table_pretty(table: ErrorTable) -> str:
-    """Matrix view rounded to 6 significant digits, x down, n across."""
+    """Matrix view rounded to 6 significant digits, x down, n across.  The
+    cells are taken in make_error_table's order, one row of len(ns) per x."""
     lines = [f"abs errors for g = {table.g_label}, rule u_n = {table.rule.label}"]
     header = ["x\\n"] + [str(n) for n in table.ns]
     rows = [header]
-    for x in table.xs:
+    k = len(table.ns)
+    for i, x in enumerate(table.xs):
         row = [f"{x:g}"]
-        for n in table.ns:
-            c = table.cell(x, n)
+        for c in table.cells[i * k:(i + 1) * k]:
             row.append(c.error.partition(":")[0] if c.error else f"{c.abs_error:.6g}")
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

@@ -93,12 +93,12 @@ class TestRefusals:
         pytest.param("curve --xs 0:2.5", "neither a comma list nor start:stop:count",
                      id="malformed-grid"),
         # A_m of the moment polynomial leaves the double range from m = 167
-        pytest.param("eval --g t^170 --u 10 --x 1", "int too large to convert to float",
-                     id="eval-power-170"),
-        pytest.param("eval --g t^167 --u 10 --x 1 --J 5", "int too large to convert to float",
-                     id="eval-truncated-power-167"),
-        pytest.param("moments --u 10 --xs 1 --max-m 170", "int too large to convert to float",
-                     id="moments-order-170"),
+        pytest.param("eval --g t^170 --u 10 --x 1", "coefficients of t^170 overflow a "
+                     "double (m >= 167)", id="eval-power-170"),
+        pytest.param("eval --g t^167 --u 10 --x 1 --J 5", "coefficients of t^167 overflow a "
+                     "double (m >= 167)", id="eval-truncated-power-167"),
+        pytest.param("moments --u 10 --xs 1 --max-m 170", "coefficients of t^167 overflow a "
+                     "double (m >= 167)", id="moments-order-170"),
     ])
     def test_refused_value_is_one_line_on_stderr(self, capsys, argv, kind):
         code = main(argv.split())

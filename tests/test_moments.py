@@ -89,6 +89,14 @@ class TestRawMoments:
                 want = closed_form_raw(u, x, m)
                 np.testing.assert_allclose(raw_moment(u, x, m), want, rtol=1e-13)
 
+    def test_largest_power_keeps_its_bits_and_the_next_names_its_cause(self):
+        # the integer coefficients, each converted in its product as raw_moment once did
+        want = float(sum(a * 1.0**l * 10.0 ** float(l - 166)
+                         for l, a in enumerate(raw_moment_lambda_coeffs(166))))
+        assert raw_moment(10.0, 1.0, 166) == want
+        with pytest.raises(OverflowError, match=r"t\^167 overflow a double \(m >= 167\)"):
+            raw_moment(10.0, 1.0, 167)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             raw_moment(0.0, 1.0, 1)

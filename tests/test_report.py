@@ -389,6 +389,22 @@ class TestCsvOutput:
         assert "n^2" in text
         assert "1.46137" in text
 
+    def test_pretty_format_takes_the_cells_in_order_without_lookup(self, monkeypatch):
+        # divergent (u = 1.5), overflowing (x = 300) and finite cells
+        t = make_error_table(X2E2X, SequenceRule.from_explicit([1.5, 3.0, 10.0]),
+                             xs=(0.5, 1.0, 300.0), ns=(1, 2, 3))
+        want = [[f"{x:g}", *(c.error.split(":")[0] if c.error else f"{c.abs_error:.6g}"
+                             for c in (t.cell(x, n) for n in t.ns))] for x in t.xs]
+        assert {"divergent", "overflow"} <= {v for row in want for v in row}
+
+        def refuse(self, x, n):
+            raise AssertionError("format_table_pretty looked a cell up")
+
+        monkeypatch.setattr(report.ErrorTable, "cell", refuse)
+        lines = format_table_pretty(t).splitlines()
+        assert lines[1].split() == ["x\\n", "1", "2", "3"]
+        assert [line.split() for line in lines[2:]] == want
+
 
 class TestVerificationSuite:
     def test_all_checks_pass(self):

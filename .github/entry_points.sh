@@ -17,6 +17,8 @@ szmd curve --J 15,35,50 --out "$out/curves.csv"
 szmd curve --us 15,1e6 --xs 0:2.5:126 --out "$out/c.csv"
 rc=0; szmd curve --xs 1,inf || rc=$?; test "$rc" -eq 2
 rc=0; szmd curve --us 15 --xs 0,1 --J 2.7 || rc=$?; test "$rc" -eq 2
+rc=0; szmd table --ns 10.9 --xs 1 2>"$out/err" || rc=$?; test "$rc" -eq 2; grep -qF 'whole number' "$out/err"
+rc=0; szmd eval --g 't^2.5' --u 10 --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd moments --u 10 --max-m -1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --xs 0:1:0 || rc=$?; test "$rc" -eq 2
 rc=0; szmd eval --g 't^170' --u 10 --x 1 2>"$out/err" || rc=$?; test "$rc" -eq 2
@@ -24,6 +26,7 @@ grep -qF 'coefficients of t^170 overflow a double (m >= 167)' "$out/err"
 rc=0; szmd eval --g t --rule 'n^' --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --rule explicit:1,x || rc=$?; test "$rc" -eq 2
 szmd eval --g '2*t^2 - 0.5*t + 3' --u 100 --x 1 --J 80
+szmd eval --g '-1*t^3*exp(-5*t) + 0.5*t' --u 100 --x 1
 szmd bounds --which dbv --g t2 --u 400 --x 1
 szmd bounds --which kfunctional --g expneg --u 1e3 --x 1
 szmd bounds --which lipschitz --g expneg --u 1e3 --x 1

@@ -1,8 +1,11 @@
-"""Szasz basis weights and the tail mass of a truncated series.
+"""Szasz basis weights, the tail mass of a truncated series, and input guards.
 
 The basis weight s_{u,j}(x) = e^{-ux} (ux)^j / j! is a Poisson probability
 mass in j with mean ux, so the mass a series cut after index J neglects is
 the regularized incomplete gamma function.
+
+_check_point refuses u, x, t or y off its domain (NaN too); _check_whole returns
+a whole-number argument (m, J, n, a power) as an int and refuses 2.5, NaN, inf.
 
 scipy.special takes ~0.25 s to import and only tail_mass and log_weights use
 it here, so the closed forms never load it: gammainc and gammaln, like
@@ -44,6 +47,16 @@ def _check_point(u: float, x: float, t: float = 0.0) -> None:
         raise ValueError(f"x must be >= 0 and finite, got {x}")
     if not (0.0 <= t < math.inf):
         raise ValueError(f"kernel point t or y must be >= 0 and finite, got {t}")
+
+
+def _check_whole(v, what: str, least: int = 0) -> int:
+    """v as an int, for a whole number v >= least that is not a bool."""
+    if type(v) is int and v >= least:  # the common case costs one comparison
+        return v
+    # compared first: float() would overflow on an int below -DBL_MAX
+    if isinstance(v, (bool, np.bool_)) or not (v >= least and float(v).is_integer()):
+        raise ValueError(f"{what} must be >= {least} and a whole number, got {v}")
+    return int(v)
 
 
 def _stirling_error(j: np.ndarray) -> np.ndarray:
@@ -115,8 +128,9 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
 
 
 def tail_mass(u: float, x: float, j_last: int) -> float:
-    """Neglected Poisson mass sum_{j > j_last} s_{u,j}(x)."""
+    """Neglected Poisson mass sum_{j > j_last} s_{u,j}(x), for a whole j_last >= 0."""
     _check_point(u, x)
+    j_last = _check_whole(j_last, "j_last")
     lam = u * x
     if lam == 0.0:
         return 0.0

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import _check_point
+from .basis import _check_point, _check_whole
 from .moments import central_moment, zeta, zeta_sq
 from .operator import _apply_grid, apply
 from .targets import TargetFunction, map_scalar
@@ -200,8 +200,7 @@ def _cumulative_variation(f, lo, hi, samples, breakpoints, ends=()):
     grid points a < b is cum[b] - cum[a]."""
     if not (-math.inf < lo <= hi < math.inf):
         raise ValueError(f"interval [{lo}, {hi}] must be finite with lo <= hi")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    samples = _check_whole(samples, "samples", 2)
     brackets = [
         t for bp in breakpoints for t in (bp - 1e-6, bp, bp + 1e-6) if lo < t < hi
     ]

@@ -41,16 +41,6 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _parse_ints(text: str, option: str) -> list[int]:
-    """A comma list of whole numbers; an entry such as 2.7 is refused, not
-    truncated."""
-    values = _parse_floats(text)
-    for v in values:
-        if not v.is_integer():
-            raise ValueError(f"{option} takes integers, got {v:g}")
-    return [int(v) for v in values]
-
-
 def _parse_grid(text: str) -> list[float]:
     """Either a comma list or a linspace spec 'start:stop:count'."""
     if ":" in text:
@@ -95,7 +85,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     g = parse_target(args.g)
     rule = parse_rule(args.rule)
     xs = _parse_grid(args.xs) if args.xs is not None else REFERENCE_XS
-    ns = _parse_ints(args.ns, "--ns") if args.ns is not None else REFERENCE_NS
+    ns = _parse_floats(args.ns) if args.ns is not None else REFERENCE_NS
     if not (xs and ns):
         raise ValueError(f"--ns {args.ns!r} gives no n" if xs else f"--xs {args.xs!r} gives no x")
     table = make_error_table(g, rule, xs=xs, ns=ns)
@@ -125,9 +115,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         u_values = _parse_floats(args.us)
     else:
         rule = parse_rule(args.rule)
-        u_values = rule.values(_parse_ints(args.ns, "--ns"))
+        u_values = rule.values(_parse_floats(args.ns))
     xs = _parse_grid(args.xs)
-    truncation_js = _parse_ints(args.J, "--J") if args.J else None
+    truncation_js = _parse_floats(args.J) if args.J else None
     series = make_curves(g, u_values, xs, truncation_js=truncation_js)
     if args.out:
         write_curves_csv(series, args.out)

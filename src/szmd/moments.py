@@ -18,18 +18,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _check_point
+from .basis import _check_point, _check_whole
 
 # A polynomial sum c x^k u^(-d) as {(k, d): c}, zero coefficients left out.
 PolyXU = dict[tuple[int, int], int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not hit the entry of 1 or 2
 def raw_moment_lambda_coeffs(m: int) -> tuple[int, ...]:
     """Integer A with u^m * B(t^m; x) = sum_l A[l] (ux)^l.
 
     These are the coefficients of m! L_m(-ux): A[l] = C(m, l) m! / l!.
     """
+    m = _check_whole(m, "moment order m")
     return tuple(math.comb(m, l) * math.perm(m, m - l) for l in range(m + 1))
 
 
@@ -49,8 +50,7 @@ def raw_moment(u: float, x: float, m: int) -> float:
     (6 + 18xu + 9x^2 u^2 + x^3 u^3)/u^3.
     """
     _check_point(u, x)
-    if m < 0:
-        raise ValueError(f"moment order must be >= 0, got {m}")
+    m = _check_whole(m, "moment order m")
     coeffs = _lambda_coeff_floats(m)
     return float(sum(a * x**l * u ** float(l - m) for l, a in enumerate(coeffs)))
 
@@ -63,6 +63,7 @@ class CentralMomentPoly:
     coeffs: PolyXU
 
     def evaluate(self, u: float, x: float) -> float:
+        _check_point(u, x)
         total = 0.0
         for (k, d), c in self.coeffs.items():
             total += float(c) * u ** float(-d) * x**k
@@ -78,15 +79,14 @@ class CentralMomentPoly:
         return self.coeff_gap(other) <= tol
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def central_moment_poly(m: int) -> CentralMomentPoly:
     """Central moment polynomial by binomial expansion over raw moments.
 
     (t - x)^m = sum_i C(m, i) (-x)^(m-i) t^i, and B(t^i; x) contributes
     A_i[l] x^l u^(l-i), so every term has k + d = m.
     """
-    if m < 0:
-        raise ValueError(f"moment order must be >= 0, got {m}")
+    m = _check_whole(m, "moment order m")
     acc: dict[tuple[int, int], int] = defaultdict(int)
     for i in range(m + 1):
         sign = (-1) ** (m - i) * math.comb(m, i)
@@ -97,7 +97,6 @@ def central_moment_poly(m: int) -> CentralMomentPoly:
 
 def central_moment(u: float, x: float, m: int) -> float:
     """Central moment of order m at (u, x); 1 for m = 0, 1/u for m = 1."""
-    _check_point(u, x)
     return central_moment_poly(m).evaluate(u, x)
 
 
@@ -127,6 +126,7 @@ def recurrence_step(om_prev: CentralMomentPoly | None, om_cur: CentralMomentPoly
 def central_moments_by_recurrence(max_order: int,
                                   misplace_x: bool = False) -> list[CentralMomentPoly]:
     """All central moment polynomials up to max_order via the recurrence."""
+    max_order = _check_whole(max_order, "max_order")
     polys = [CentralMomentPoly(0, {(0, 0): 1})]
     for m in range(max_order):
         polys.append(recurrence_step(polys[m - 1] if m else None, polys[m], misplace_x))
@@ -162,6 +162,7 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     The slope should not exceed -floor((m+1)/2) + 0.1, the decay order the
     moment theory guarantees.
     """
+    m = _check_whole(m, "moment order m")
     u_grid = np.asarray(sorted(u_grid), dtype=np.float64)
     if len(u_grid) < 3:
         raise ValueError("u_grid needs at least three values")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_point, _special_on_first_call, log_weights, tail_mass
+from .basis import _check_point, _check_whole, _special_on_first_call, log_weights, tail_mass
 from .moments import _lambda_coeff_floats
 from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import TargetFunction, exppoly_terms
@@ -92,21 +92,20 @@ class SequenceRule:
         return cls("explicit", explicit_values=tuple(float(v) for v in values))
 
     def u_value(self, n: int) -> float:
+        n = _check_whole(n, "sequence index n", 1)
         if self.kind == "power":
-            if n < 1:
-                raise ValueError("sequence index n must be >= 1")
             try:
                 return float(n) ** self.power
             except OverflowError:
                 raise ValueError(f"u = {n}^{self.power:g} leaves the double range") from None
-        if n < 1 or n > len(self.explicit_values):
+        if n > len(self.explicit_values):
             raise ValueError(
                 f"explicit rule has {len(self.explicit_values)} values, got n={n}"
             )
         return self.explicit_values[n - 1]
 
     def values(self, ns) -> list[float]:
-        return [self.u_value(int(n)) for n in ns]
+        return [self.u_value(n) for n in ns]
 
     @property
     def label(self) -> str:
@@ -415,13 +414,12 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
 
 
 def _check_truncation(g: TargetFunction, j_max) -> tuple[tuple, int]:
-    """g's exp-poly terms and int(J), for a whole number J >= 0 and a structured g."""
-    if not (float(j_max).is_integer() and j_max >= 0):
-        raise ValueError(f"J must be >= 0 and a whole number, got {j_max}")
+    """g's exp-poly terms and J as an int, for a whole number J >= 0 and a structured g."""
+    j_max = _check_whole(j_max, "J")
     terms = exppoly_terms(g)
     if terms is None:
         raise ValueError("the truncated series is only for structured targets (ExpPolySum)")
-    return terms, int(j_max)
+    return terms, j_max
 
 
 def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> OperatorValue:

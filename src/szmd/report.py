@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from .basis import _check_point
+from .basis import _check_point, _check_whole
 from .moments import (
     central_moment,
     central_moment_bruteforce,
@@ -128,12 +128,14 @@ def make_error_table(
     overflows the double range (so do the moment coefficients of a power >=
     167) are kept in place with NaN values and an explanatory message, headed
     "divergent" or "overflow", instead of aborting the whole table.  An empty
-    x grid or n list is refused before any cell is computed.
+    grid, an n not a whole number >= 1 or an x not in [0, inf) is refused first.
     """
-    xs = tuple(float(x) for x in xs)
-    ns = tuple(int(n) for n in ns)
+    xs = tuple(map(float, xs))
+    ns = tuple([_check_whole(n, "sequence index n", 1) for n in ns])  # faster than a genexpr
     if not (xs and ns):
         raise ValueError("n list is empty" if xs else "x grid is empty")
+    for x in xs:
+        _check_point(1.0, x)
     cells = []
     for x in xs:
         gx = float(g(x))

@@ -4,6 +4,11 @@ The one structured form, ExpPolySum, is a sum of c * t^m * e^{a t}; a
 polynomial is the case where every rate a is 0.  It unlocks exact inner
 integrals; anything else goes through BlackBox with a caller-declared
 exponential growth rate, which the operator needs to certify integrability.
+
+parse_target reads literals of this grammar, with spaces allowed between parts:
+    literal := ["+" | "-"] term (("+" | "-") term)*, e.g. "-1*t^3*exp(-5*t) + 0.5*t"
+    term    := [coeff] [*] [t[^m]] [*] [exp(a[*]t)], not empty, e.g. "t*exp(2t)"
+where coeff is an unsigned decimal (2, .5, 1e-2), a a signed one, m a whole number.
 """
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+
+from .basis import _check_whole
 
 
 @dataclass(frozen=True)
@@ -22,9 +29,9 @@ class ExpPolySum:
     terms: tuple[tuple[float, int, float], ...]
 
     def __post_init__(self) -> None:
-        for coeff, power, rate in self.terms:
-            if power < 0:
-                raise ValueError(f"monomial power must be >= 0, got {power}")
+        terms = tuple((c, _check_whole(p, "monomial power"), r) for c, p, r in self.terms)
+        object.__setattr__(self, "terms", terms)  # powers as int, for the closed forms
+        for coeff, _, rate in terms:
             if not np.isfinite(coeff):
                 raise ValueError(f"coefficient must be finite, got {coeff}")
             if not np.isfinite(rate):
@@ -110,61 +117,30 @@ BUILTIN_TARGETS: dict[str, TargetFunction] = {
     "expneg": ExpPolySum(((1.0, 0, -1.0),)),
 }
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d*\.?\d+(?:[eE][+-]?\d+)?)?"
-    r"\s*(?:\*?\s*t(?:\^(?P<power>\d+))?)?"
-    r"\s*(?:\*?\s*exp\(\s*(?P<rate>[+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)\s*\*?\s*t\s*\))?$"
+_NUM = r"\d*\.?\d+(?:[eE][+-]?\d+)?"
+_TERM = re.compile(
+    rf"\s*(?P<sign>[+-])?\s*(?P<coeff>{_NUM})?\s*(?:\*?\s*(?P<t>t)(?:\^(?P<power>\d+))?)?"
+    rf"\s*(?:\*?\s*exp\(\s*(?P<rate>[+-]?{_NUM})\s*\*?\s*t\s*\))?\s*(?=[+-]|\Z)"
 )
 
 
-def _split_terms(expr: str) -> list[str]:
-    """Split on top-level +/-, keeping signs attached and exp(...) intact."""
-    chunks: list[str] = []
-    depth, start = 0, 0
-    for i, ch in enumerate(expr):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            if expr[i - 1] not in "eE*^(":
-                chunks.append(expr[start:i])
-                start = i
-    chunks.append(expr[start:])
-    return [c.strip() for c in chunks if c.strip()]
-
-
 def parse_target(text: str) -> TargetFunction:
-    """Resolve a builtin name or parse an exponential-polynomial literal.
-
-    Literal grammar: terms joined by '+'/'-', each term
-    ``<coeff>[*t[^m]][*exp(a*t)]``, e.g. ``"1*t^2*exp(2*t)"`` or
-    ``"-1*t^3*exp(-5*t) + 0.5*t"``.
-    """
+    """Resolve a builtin name or parse an exponential-polynomial literal (see
+    the module docstring), matching _TERM, one signed term, where the last ended."""
     name = text.strip()
     if name in BUILTIN_TARGETS:
         return BUILTIN_TARGETS[name]
     terms: list[tuple[float, int, float]] = []
-    for chunk in _split_terms(name):
-        sign = 1.0
-        body = chunk
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].lstrip()
-        m = _TERM_RE.match(body)
-        if m is None or not body:
-            raise ValueError(f"cannot parse target term {chunk!r}")
-        coeff_s, power_s, rate_s = m.group("coeff"), m.group("power"), m.group("rate")
-        has_t = "t" in re.sub(r"exp\([^)]*\)", "", body)
-        if coeff_s is None and not has_t and rate_s is None:
-            raise ValueError(f"cannot parse target term {chunk!r}")
-        coeff = sign * (float(coeff_s) if coeff_s else 1.0)
-        power = int(power_s) if power_s else (1 if has_t else 0)
-        rate = float(rate_s) if rate_s else 0.0
-        terms.append((coeff, power, rate))
-    if not terms:
-        raise ValueError(f"unknown target {text!r}")
+    pos = 0
+    while pos < len(name) or not terms:  # an empty literal is one empty term
+        m = _TERM.match(name, pos)
+        # a term needs a coeff, a t or an exp, and each term after the first a sign
+        if not (m and (m["coeff"] or m["t"] or m["rate"]) and (m["sign"] or pos == 0)):
+            raise ValueError(f"cannot parse target term {name[pos:]!r}")
+        coeff = float(m["coeff"] or 1.0)
+        power = int(m["power"] or 1) if m["t"] else 0
+        terms.append((-coeff if m["sign"] == "-" else coeff, power, float(m["rate"] or 0.0)))
+        pos = m.end()
     return ExpPolySum(tuple(terms))
 
 

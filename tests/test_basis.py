@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import szmd
 from szmd.basis import log_weights, tail_mass
+from szmd.moments import raw_moment_lambda_coeffs
 from szmd.operator import apply_truncated
 from szmd.targets import BUILTIN_TARGETS
 
@@ -113,3 +115,63 @@ class TestTruncationSpec:
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             apply_truncated(BUILTIN_TARGETS["one"], 10.0, 1.0, -1)
+
+
+NEGX3E5X = BUILTIN_TARGETS["negx3e5x"]
+ABS_SPEC = szmd.DbvSpec(szmd.BlackBox(lambda t: abs(t - 1.0), growth_rate=0.0, kinks=(1.0,)),
+                        gprime_left=lambda t: np.where(t <= 1.0, -1.0, 1.0),
+                        gprime_right=lambda t: np.where(t < 1.0, -1.0, 1.0), breakpoints=(1.0,))
+
+# Each public entry point that takes a whole number v: (call, argument name, least v).
+WHOLE_ENTRY_POINTS = {
+    "ExpPolySum": (lambda v: szmd.ExpPolySum(((2.0, v, -1.0),)), "monomial power", 0),
+    "MonomialSum": (lambda v: szmd.MonomialSum(((2.0, v),)), "monomial power", 0),
+    "raw_moment": (lambda v: szmd.raw_moment(10.0, 1.0, v), "moment order m", 0),
+    "raw_moment_lambda_coeffs": (raw_moment_lambda_coeffs, "moment order m", 0),
+    "central_moment_poly": (szmd.central_moment_poly, "moment order m", 0),
+    "central_moment": (lambda v: szmd.central_moment(10.0, 1.0, v), "moment order m", 0),
+    "decay_order_check": (lambda v: szmd.decay_order_check(v, 1.0, [1e2, 1e4, 1e6]),
+                          "moment order m", 0),
+    "central_moments_by_recurrence": (szmd.central_moments_by_recurrence, "max_order", 0),
+    "u_value": (lambda v: szmd.SequenceRule.identity().u_value(v), "sequence index n", 1),
+    "u_value_explicit": (lambda v: szmd.SequenceRule.from_explicit([1, 2, 4, 8]).u_value(v),
+                         "sequence index n", 1),
+    "values": (lambda v: szmd.SequenceRule.from_power(1.5).values([v]), "sequence index n", 1),
+    "make_error_table": (lambda v: szmd.make_error_table(
+        BUILTIN_TARGETS["x2e2x"], szmd.SequenceRule.identity(), xs=(1.0,), ns=(v,)),
+        "sequence index n", 1),
+    "apply_truncated": (lambda v: apply_truncated(NEGX3E5X, 15.0, 1.0, v), "J", 0),
+    "make_curves": (lambda v: szmd.make_curves(NEGX3E5X, [15.0], [0.0, 1.0], truncation_js=[v]),
+                    "J", 0),
+    "tail_mass": (lambda v: tail_mass(10.0, 1.0, v), "j_last", 0),
+    "total_variation": (lambda v: szmd.total_variation(np.cos, (0.0, 3.0), samples=v),
+                        "samples", 2),
+    "dbv_bound": (lambda v: szmd.dbv_bound(ABS_SPEC, 100.0, 1.0, tv_samples=v), "samples", 2),
+}
+
+
+class TestWholeNumbers:
+    """Every whole-number argument is refused or taken the same way: as an int."""
+
+    @pytest.mark.parametrize("name", WHOLE_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True, "below"])
+    def test_refused_with_the_argument_named(self, name, bad):
+        call, what, least = WHOLE_ENTRY_POINTS[name]
+        with pytest.raises(ValueError, match=f"{what} must be >= {least} and a whole number"):
+            call(least - 1 if bad == "below" else bad)
+
+    @pytest.mark.parametrize("name", WHOLE_ENTRY_POINTS)
+    @pytest.mark.parametrize("v", [3.0, np.int64(3)], ids=["float", "int64"])
+    def test_whole_value_gives_the_bits_of_the_int(self, name, v):
+        # repr shows every float's bits and every number's type, np.int64 included
+        call = WHOLE_ENTRY_POINTS[name][0]
+        assert repr(call(v)) == repr(call(3))
+
+    def test_cached_entries_are_not_shared_across_types(self):
+        # an untyped lru_cache answered raw_moment_lambda_coeffs(True) from the entry of 1
+        raw_moment_lambda_coeffs(1)
+        szmd.central_moment_poly(1)
+        with pytest.raises(ValueError, match="moment order m"):
+            raw_moment_lambda_coeffs(True)
+        with pytest.raises(ValueError, match="moment order m"):
+            szmd.central_moment_poly(True)

@@ -84,11 +84,13 @@ class TestRefusals:
                      id="paper-check-other-target"),
         pytest.param("curve --xs 1,inf", "x must be >= 0 and finite, got inf",
                      id="curve-infinite-x"),
-        pytest.param("curve --us 15 --xs 0,1 --J 2.7", "--J takes integers, got 2.7",
+        pytest.param("curve --us 15 --xs 0,1 --J 2.7",
+                     "J must be >= 0 and a whole number, got 2.7",
                      id="curve-fractional-J"),
-        pytest.param("table --ns 10.9 --xs 1", "--ns takes integers, got 10.9",
+        pytest.param("table --ns 10.9 --xs 1",
+                     "sequence index n must be >= 1 and a whole number, got 10.9",
                      id="table-fractional-n"),
-        pytest.param("curve --ns 2.5", "--ns takes integers, got 2.5",
+        pytest.param("curve --ns 2.5", "sequence index n must be >= 1 and a whole number, got 2.5",
                      id="curve-fractional-n"),
         pytest.param("curve --xs 0:2.5", "neither a comma list nor start:stop:count",
                      id="malformed-grid"),

@@ -107,6 +107,12 @@ class TestRawMoments:
 
 
 class TestCentralMoments:
+    @pytest.mark.parametrize("u, x", [(0.0, 1.0), (math.nan, 1.0), (10.0, -1.0)])
+    def test_polynomial_refuses_a_point_off_the_domain(self, u, x):
+        # evaluate(0.0, 1.0) raised ZeroDivisionError
+        with pytest.raises(ValueError, match="must be"):
+            central_moment_poly(4).evaluate(u, x)
+
     def test_low_orders(self):
         assert central_moment(10.0, 0.7, 0) == 1.0
         np.testing.assert_allclose(central_moment(10.0, 0.7, 1), 0.1, rtol=1e-15)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -37,6 +38,18 @@ SMALLEST_SUBNORMAL = sys.float_info.min * sys.float_info.epsilon
 
 
 class TestApply:
+    @pytest.mark.parametrize("power", [np.int64(3), 3.0], ids=["int64", "float"])
+    def test_whole_powers_give_python_numbers_with_the_bits_of_an_int(self, power):
+        # a np.int64 power made tail_bound a np.float64; a float one raised TypeError
+        def results(p):
+            g = ExpPolySum(((2.0, p, -1.0), (0.5, 1, 0.0)))
+            return apply(g, 50.0, 1.0), apply_truncated(g, 50.0, 1.0, 60)
+
+        for op, want in zip(results(power), results(3)):
+            values = [getattr(op, f.name) for f in dataclasses.fields(op)]
+            assert [type(v) for v in values] == [float, int, float, float, float]
+            assert repr(op) == repr(want)
+
     def test_fixes_constants(self):
         op = apply(ONE, 10.0, 0.7)
         np.testing.assert_allclose(op.value, 1.0, atol=1e-12)

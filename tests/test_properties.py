@@ -27,7 +27,7 @@ from szmd.operator import (
     kernel_cdf,
     kernel_value,
 )
-from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum
+from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum, parse_target
 
 EPS = sys.float_info.epsilon
 LN_DBL_MAX = math.log(sys.float_info.max)
@@ -384,3 +384,45 @@ def test_kernel_cdf_matches_the_incomplete_gamma_series(u, x, z):
     want = cdf_series(u, x, y)
     assume(want >= 1e-30)
     assert abs(kernel_cdf(u, x, y) - want) <= 1e-12 * want
+
+
+# (sign, coeff, power, rate) of a literal's terms; coefficients print by repr,
+# which reads back to the same float
+literal_terms = st.lists(st.tuples(
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(0.0, 1e300).map(abs),
+    st.integers(0, 200),
+    st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+), min_size=1, max_size=4)
+
+
+@st.composite
+def rendered_literals(draw):
+    """A term list and a literal that spells it, with random spacing, an
+    optional '*' before t, exp and the t inside it, and t or t^1 for power 1."""
+    terms = draw(literal_terms)
+
+    def sp():
+        return draw(st.sampled_from(("", " ", "  ", "\t")))
+
+    def star():
+        return sp() + draw(st.sampled_from(("*", ""))) + sp()
+
+    text = ""
+    for k, (sign, coeff, power, rate) in enumerate(terms):
+        text += "-" if sign < 0 else "+" if k or draw(st.booleans()) else ""
+        text += sp() + repr(coeff)
+        if power:
+            text += star() + ("t" if power == 1 and draw(st.booleans()) else f"t^{power}")
+        if rate:
+            text += star() + "exp(" + sp() + repr(rate) + star() + "t" + sp() + ")"
+        text += sp()
+    return terms, text
+
+
+@settings(max_examples=300)
+@given(rendered_literals())
+def test_parse_target_returns_the_rendered_terms(case):
+    terms, text = case
+    want = tuple((sign * coeff, power, rate or 0.0) for sign, coeff, power, rate in terms)
+    assert repr(parse_target(text).terms) == repr(want)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -51,6 +52,18 @@ class TestErrorTable:
         np.testing.assert_allclose(
             t1.cell(0.5, 1000).abs_error, t2.cell(0.5, 100).abs_error, rtol=1e-10
         )
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e308, math.nan, math.inf])
+    def test_every_x_is_checked_before_the_target_runs(self, bad):
+        # the table called g(0.5), then g(bad): math.sqrt said "math domain
+        # error", and x2e2x at -1e308 raised an overflow RuntimeWarning
+        seen = []
+        g = BlackBox(lambda t: seen.append(t) or math.sqrt(t), growth_rate=0.0)
+        refusal = re.escape(f"x must be >= 0 and finite, got {bad}")
+        for target in (g, X2E2X):
+            with pytest.raises(ValueError, match=refusal):
+                make_error_table(target, SequenceRule.identity(), xs=(0.5, bad), ns=(10,))
+        assert seen == []
 
     def test_errors_nonnegative_finite(self):
         t = make_error_table(X2E2X, SequenceRule.identity(), xs=(0.1, 1.0), ns=(10, 50))

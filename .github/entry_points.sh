@@ -21,8 +21,11 @@ rc=0; szmd table --ns 10.9 --xs 1 2>"$out/err" || rc=$?; test "$rc" -eq 2; grep 
 rc=0; szmd eval --g 't^2.5' --u 10 --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd moments --u 10 --max-m -1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --xs 0:1:0 || rc=$?; test "$rc" -eq 2
-rc=0; szmd eval --g 't^170' --u 10 --x 1 2>"$out/err" || rc=$?; test "$rc" -eq 2
-grep -qF 'coefficients of t^170 overflow a double (m >= 167)' "$out/err"
+szmd eval --g 't^170' --u 10 --x 1
+rc=0; szmd eval --g 't^170' --u 0.5 --x 1 2>"$out/err" || rc=$?; test "$rc" -eq 2
+grep -qF 'operator value overflows' "$out/err"
+szmd eval --g one --u 1e200 --x 1
+szmd table --xs 0:1:1e3 --ns 10 >/dev/null
 rc=0; szmd eval --g t --rule 'n^' --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --rule explicit:1,x || rc=$?; test "$rc" -eq 2
 szmd eval --g '2*t^2 - 0.5*t + 3' --u 100 --x 1 --J 80

@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bounds as bounds_mod
-from .basis import _check_point
+from .basis import _check_point, _check_whole
 from .moments import central_moment, raw_moment
 from .operator import apply, apply_truncated, parse_rule
 from .quadrature import ConvergenceFailure
@@ -48,7 +48,7 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} is neither a comma list nor start:stop:count")
         lo, hi, count = parts
-        return list(np.linspace(float(lo), float(hi), int(count)))
+        return list(np.linspace(float(lo), float(hi), _check_whole(float(count), "grid count")))
     return _parse_floats(text)
 
 

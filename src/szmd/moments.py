@@ -2,12 +2,14 @@
 
 Applying the operator to t^m gives (1/u^m) * E[(X+1)(X+2)...(X+m)] with
 X ~ Poisson(ux), which is m! L_m(-ux) for the Laguerre polynomial L_m
-(DLMF 18.5.12): an integer-coefficient polynomial in ux.  Central moments
-are kept as one flat map {(k, d): c} of integer coefficients c of the terms
-c x^k u^(-d), so the derivative-based recurrence and the binomial expansion
-can be compared coefficient-wise without rounding.  The reference
-central_moment_bruteforce is a quadrature of (t - x)^m against the kernel
-instead, so it shares no code with these polynomials.
+(DLMF 18.5.12): an integer-coefficient polynomial in ux, whose A_m every
+closed form takes only as logs, in one log-sum-exp (_log_moment_sum), so no
+A_m[l] and no power of ux has to fit a double.  Central moments are kept as
+one flat map {(k, d): c} of integer coefficients c of the terms c x^k u^(-d),
+so the derivative-based recurrence and the binomial expansion can be compared
+coefficient-wise without rounding.  The reference central_moment_bruteforce
+is a quadrature of (t - x)^m against the kernel instead, so it shares no code
+with these polynomials.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .basis import _check_point, _check_whole
 
 # A polynomial sum c x^k u^(-d) as {(k, d): c}, zero coefficients left out.
 PolyXU = dict[tuple[int, int], int]
+_LN_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not hit the entry of 1 or 2
@@ -35,24 +38,45 @@ def raw_moment_lambda_coeffs(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lambda_coeff_floats(m: int) -> tuple[float, ...]:
-    """raw_moment_lambda_coeffs(m) as floats, converted once for every closed
-    form; from m = 167 the largest of them is beyond the double range."""
-    if m >= 167:
-        raise OverflowError(f"the moment coefficients of t^{m} overflow a double (m >= 167)")
-    return tuple(map(float, raw_moment_lambda_coeffs(m)))
+def _log_lambda_coeffs(m: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """ln A_m[l], l = 0..m, as a tuple and an array: math.log takes any int."""
+    logs = tuple(map(math.log, raw_moment_lambda_coeffs(m)))
+    return logs, np.array(logs)
+
+
+def _log_moment_sum(m: int, ln_l: float) -> float:
+    """ln sum_l A_m[l] L^l as a log-sum-exp of ln A_m[l] + l ln L, so no power
+    of L and no A_m[l] overflows; ln L = -inf (L = 0) keeps ln m! alone."""
+    terms = []  # loops, not comprehensions: faster here before Python 3.12
+    for l, c in enumerate(_log_lambda_coeffs(m)[0]):
+        terms.append(c + l * ln_l if l else c)
+    top = max(terms)
+    total = 0.0
+    for t in terms:
+        total += math.exp(t - top)
+    return top + math.log(total)
+
+
+def _log_moment_sum_grid(m: int, ln_l: np.ndarray) -> np.ndarray:
+    """_log_moment_sum at each entry of ln_l, the m + 1 terms on a first axis."""
+    logs = _log_lambda_coeffs(m)[1][:, None]
+    terms = np.empty((m + 1, ln_l.size))
+    terms[0] = logs[0]  # alone where L = 0: 0 * -inf would be NaN
+    terms[1:] = logs[1:] + np.arange(1.0, m + 1.0)[:, None] * ln_l.ravel()
+    top = terms.max(axis=0)
+    return (top + np.log(np.exp(terms - top).sum(axis=0))).reshape(ln_l.shape)
 
 
 def raw_moment(u: float, x: float, m: int) -> float:
-    """Operator applied to t^m at x, in exact closed form.
-
-    For m = 0..3 this reproduces 1, x + 1/u, (2 + 4xu + x^2 u^2)/u^2 and
-    (6 + 18xu + 9x^2 u^2 + x^3 u^3)/u^3.
-    """
+    """Operator applied to t^m at x, exp(ln sum_l A_m[l] (ux)^l - m ln u):
+    1, x + 1/u, (2 + 4xu + x^2 u^2)/u^2, ... for m = 0, 1, 2."""
     _check_point(u, x)
     m = _check_whole(m, "moment order m")
-    coeffs = _lambda_coeff_floats(m)
-    return float(sum(a * x**l * u ** float(l - m) for l, a in enumerate(coeffs)))
+    ln_u = math.log(u)
+    ln_value = _log_moment_sum(m, ln_u + (math.log(x) if x else -math.inf)) - m * ln_u
+    if ln_value > _LN_DBL_MAX:
+        raise OverflowError(f"B(t^{m}; x) overflows at u={u}, x={x}: ln B = {ln_value:.6g}")
+    return math.exp(ln_value)
 
 
 @dataclass(frozen=True)
@@ -65,8 +89,12 @@ class CentralMomentPoly:
     def evaluate(self, u: float, x: float) -> float:
         _check_point(u, x)
         total = 0.0
-        for (k, d), c in self.coeffs.items():
-            total += float(c) * u ** float(-d) * x**k
+        try:  # float(c) fails from order 167, a power of u or x where it overflows
+            for (k, d), c in self.coeffs.items():
+                total += float(c) * u ** float(-d) * x**k
+        except OverflowError:
+            raise OverflowError(f"central moment of order {self.order}: a term of its float "
+                                f"sum overflows at u={u}, x={x}") from None
         return total
 
     def coeff_gap(self, other: "CentralMomentPoly") -> int:
@@ -191,9 +219,8 @@ def central_moment_bruteforce(u, x, m):
 
     for ui, xi in np.broadcast(u, x):
         _check_point(ui, xi)
-    orders = np.asarray(m)
-    if orders.dtype.kind not in "iu" or orders.min(initial=0) < 0:
-        raise ValueError(f"moment orders must be integers >= 0, got {m}")
+    orders = np.array([_check_whole(k, "moment order m") for k in (m if np.ndim(m) else [m])],
+                      dtype=np.intp).reshape(np.shape(m))
 
     def columns(t, xn):  # products: pow would be a libm call per node and order
         d, powers = t - xn, [np.ones_like(t)]

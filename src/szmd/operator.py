@@ -7,7 +7,9 @@ weights over j gives every exp-poly term the closed form
     B(t^m e^{at}; x) = u (u-a)^{-(m+1)} e^{uax/(u-a)} sum_l A_m[l] L^l,
 
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
-targets never sum the series.  apply takes it at one point with math
+targets never sum the series.  The sum is taken in log space from ln L
+(moments._log_moment_sum), so every power and u give a value where it is
+finite.  apply takes it at one point with math
 (_closed_form); a grid of (u, x) points, such as every u series of
 make_curves at once, takes its array twin (_closed_form_grid) in one numpy
 call, which costs more than the scalar form at one point and far less on a
@@ -34,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _check_point, _check_whole, _special_on_first_call, log_weights, tail_mass
-from .moments import _lambda_coeff_floats
+from .moments import _LN_DBL_MAX, _log_moment_sum, _log_moment_sum_grid
 from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
-_LN_DBL_MAX = math.log(sys.float_info.max)
 _DBL_MIN = sys.float_info.min
 _LN_TINY = math.log(_DBL_MIN * _EPS)  # the smallest subnormal
 _TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
@@ -159,53 +160,39 @@ class OperatorValue:
     inner_integral_error: float
 
 
-def _log_moment_poly(m: int, lam: float) -> float:
-    """ln sum_l A_m[l] lam^l by Horner's rule, in 1/lam once lam > 1 so no
-    power of lam overflows; A_m[0] = m! and A_m[m] = 1 keep the sum >= 1."""
-    coeffs = _lambda_coeff_floats(m)
-    if lam <= 1.0:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * lam + c
-        return math.log(acc)
-    inv = 1.0 / lam
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * inv + c
-    return m * math.log(lam) + math.log(acc)
-
-
 def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
     """sum_k c_k B(t^m_k e^{a_k t}; x) and its rounding budget.
 
-    Each term is exp of ln|c| + ln u - (m+1) ln(u-a) + uax/(u-a) +
-    ln sum_l A_m[l] L^l, so no intermediate overflows while the sum is
-    finite.  Each part is off by at most 2 eps_mach times its magnitude
-    (uax/(u-a) and L take four roundings, counting that of u - a), the
-    exactly rounded sum of the parts adds half an eps_mach of its own
-    magnitude, and Horner's rule adds 4m eps_mach (L's rounding raised to
-    the m-th power, the powers of 1/L, 2m operations).  exp turns the
-    exponent's absolute error into a relative one, so the budget is
-    eps_mach * sum_k |c_k| B_k * (2.5 * sum of the parts' magnitudes +
-    4(m + 1)).  Below the normal range eps_mach scales the sum first, and
-    (1 + the terms' summed weights) smallest subnormals cover the rounding onto
-    their grid.  Raises OperatorOverflow when sum_k |c_k| B_k overflows.
+    Each term is exp of the parts ln|c| - m ln u + (m+1) ln(u/(u-a)) + the
+    tilt (u/(u-a)) a x + P, P = moments._log_moment_sum of ln L = ln u + ln x
+    + ln(u/(u-a)), so nothing overflows while the sum is finite.  With each
+    operation, log and exp off by at most eps_mach relative, the first four
+    parts are off by at most 2 eps_mach times their magnitude plus (m+1)
+    eps_mach; ln L by eps_mach (2S + 1), S = |ln u| + |ln x| + |ln(u/(u-a))|;
+    P by eps_mach (2P + 2.5(m+1) + 3mS) plus m times ln L's error (P's
+    derivative in ln L is its mean power, at most m; where L = 0 it is 0); the
+    exactly rounded sum by half an eps_mach of the parts' magnitudes.  exp
+    turns this into a relative error, and joining K terms adds (2 + K)
+    eps_mach, so the budget is eps_mach * sum_k |c_k| B_k * (2.5 * sum of the
+    parts' magnitudes + 5mS + 5(m+1) + 2 + K), without 5mS where L = 0.  Below the normal range eps_mach scales the sum first, and (1 + the
+    terms' summed weights) smallest subnormals cover the rounding onto their
+    grid.  Raises OperatorOverflow when sum_k |c_k| B_k overflows.
     """
     logs, signs, conds = [], [], []
+    ln_u = math.log(u)
+    ln_x = math.log(x) if x else -math.inf
     for c, m, a in terms:
         if c == 0.0:
             continue
-        d = u - a
-        parts = (
-            math.log(abs(c)),
-            math.log(u),
-            -(m + 1) * math.log(d),
-            u * a * x / d,
-            _log_moment_poly(m, u * u * x / d),
-        )
+        ratio = u / (u - a)
+        ln_ratio = math.log(ratio) if ratio else -math.inf  # 0 only for a subnormal u
+        ln_l = ln_u + ln_x + ln_ratio
+        parts = (math.log(abs(c)), -m * ln_u, (m + 1) * ln_ratio, ratio * a * x,
+                 _log_moment_sum(m, ln_l))
         logs.append(math.fsum(parts))
         signs.append(math.copysign(1.0, c))
-        conds.append(2.5 * sum(abs(p) for p in parts) + 4.0 * (m + 1))
+        drift = 5.0 * m * (abs(ln_u) + abs(ln_x) + abs(ln_ratio)) if ln_l > -math.inf else 0.0
+        conds.append(2.5 * sum(map(abs, parts)) + drift + 5.0 * (m + 1) + 2.0 + len(terms))
     if not logs:
         return 0.0, 0.0
     top = max(logs)
@@ -223,49 +210,34 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
     return value, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + sum(weights))
 
 
-def _log_moment_polys(m: int, lam: np.ndarray) -> np.ndarray:
-    """_log_moment_poly at each entry of the array lam >= 0, by the same
-    Horner steps on the entries with lam <= 1 and on those with lam > 1."""
-    coeffs = _lambda_coeff_floats(m)
-    small = lam <= 1.0
-    big = np.where(small, 1.0, lam)
-    low, inv = np.where(small, lam, 0.0), 1.0 / big
-    acc_low = acc_inv = 0.0
-    for c_low, c_inv in zip(reversed(coeffs), coeffs):
-        acc_low = acc_low * low + c_low
-        acc_inv = acc_inv * inv + c_inv
-    return np.where(small, np.log(acc_low), m * np.log(big) + np.log(acc_inv))
-
-
 def _closed_form_grid(u, xs: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
     """_closed_form over the 1-d array xs >= 0 and u, one value or an array
     that broadcasts against xs, such as a column of u: values and budgets.
 
-    The exponent's parts are _closed_form's.  The three that do not depend on
-    x, ln|c| + ln u - (m+1) ln(u-a), are summed once per term and distinct u;
-    uax/(u-a) and the moment polynomial's log are added on the whole grid, in
-    turn rather than exactly rounded, so a value can differ from _closed_form's
-    in its last bits, but not from a call with its u alone.  The terms meet in
-    one log-sum-exp, and the budget is _closed_form's formula.  Raises
-    OperatorOverflow, naming (u, x), when sum_k |c_k| B_k exceeds the double range.
+    The parts are _closed_form's (P by moments._log_moment_sum_grid), added in
+    turn rather than exactly rounded, so a value can differ from
+    _closed_form's in its last bits, but not from a call with its u alone.
+    The budget is _closed_form's formula.  Raises OperatorOverflow, naming
+    (u, x), when sum_k |c_k| B_k exceeds the double range.
     """
     u = np.asarray(u, dtype=np.float64)
-    entries = u.ravel().tolist()
     logs, signs, conds = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+    # refused below if not finite; ln 0 = -inf at x = 0 and at u/(u-a) = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ln_u, ln_x = np.log(u), np.log(xs)
+        span = np.abs(ln_u) + np.abs(ln_x)
         for c, m, a in terms:
             if c == 0.0:
                 continue
-            parts = {v: (math.log(abs(c)), math.log(v), -(m + 1) * math.log(v - a))
-                     for v in set(entries)}
-            sums = {v: (math.fsum(p), sum(map(abs, p))) for v, p in parts.items()}
-            head, size = np.array([sums[v] for v in entries]).T.reshape(2, *u.shape)
-            d = u - a
-            tilt = u * a * xs / d
-            poly = _log_moment_polys(m, u * u * xs / d)
-            logs.append(head + tilt + poly)
+            ratio = u / (u - a)
+            ln_ratio = np.log(ratio)
+            ln_l = ln_u + ln_x + ln_ratio
+            parts = (math.log(abs(c)), -m * ln_u, (m + 1) * ln_ratio, ratio * a * xs,
+                     _log_moment_sum_grid(m, ln_l))
+            logs.append(sum(parts))
             signs.append(math.copysign(1.0, c))
-            conds.append(2.5 * (size + np.abs(tilt) + np.abs(poly)) + 4.0 * (m + 1))
+            drift = np.where(ln_l > -np.inf, 5.0 * m * (span + np.abs(ln_ratio)), 0.0)
+            conds.append(2.5 * sum(map(np.abs, parts)) + drift + 5.0 * (m + 1) + 2.0 + len(terms))
         if not logs:
             return np.zeros(np.broadcast(u, xs).shape), np.zeros(np.broadcast(u, xs).shape)
         top = functools.reduce(np.maximum, logs)

@@ -125,8 +125,8 @@ def make_error_table(
     """Fill the (x, n) error grid for a target under a parameter rule.
 
     Cells where the operator diverges (u_n not above the growth rate) or
-    overflows the double range (so do the moment coefficients of a power >=
-    167) are kept in place with NaN values and an explanatory message, headed
+    overflows the double range are kept in place with NaN values and an
+    explanatory message, headed
     "divergent" or "overflow", instead of aborting the whole table.  An empty
     grid, an n not a whole number >= 1 or an x not in [0, inf) is refused first.
     """

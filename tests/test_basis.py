@@ -130,6 +130,10 @@ WHOLE_ENTRY_POINTS = {
     "raw_moment_lambda_coeffs": (raw_moment_lambda_coeffs, "moment order m", 0),
     "central_moment_poly": (szmd.central_moment_poly, "moment order m", 0),
     "central_moment": (lambda v: szmd.central_moment(10.0, 1.0, v), "moment order m", 0),
+    "central_moment_bruteforce": (lambda v: szmd.central_moment_bruteforce(10.0, 1.0, v),
+                                  "moment order m", 0),
+    "central_moment_bruteforce_orders": (
+        lambda v: szmd.central_moment_bruteforce(10.0, 1.0, [1, v]).tolist(), "moment order m", 0),
     "decay_order_check": (lambda v: szmd.decay_order_check(v, 1.0, [1e2, 1e4, 1e6]),
                           "moment order m", 0),
     "central_moments_by_recurrence": (szmd.central_moments_by_recurrence, "max_order", 0),

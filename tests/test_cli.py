@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from szmd.cli import main
+from szmd.operator import apply, apply_truncated
+from szmd.targets import parse_target
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +34,18 @@ class TestEval:
         )
         assert code == 0
         assert "series_terms_used = 1" in out
+
+    @pytest.mark.parametrize("argv, j_max", [
+        pytest.param("eval --g t^170 --u 10 --x 1", None, id="power-170"),
+        pytest.param("eval --g t^167 --u 10 --x 1 --J 5", 5, id="truncated-power-167")])
+    def test_power_past_the_double_range_of_its_coefficients(self, capsys, argv, j_max):
+        # the largest A_170[l] is ~1e309; the values are 1.92e169 and, cut
+        # after J = 5, 8.8e163 (tests/test_moments.py holds t^m to Fraction)
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        g = parse_target(argv.split()[2])
+        op = apply(g, 10.0, 1.0) if j_max is None else apply_truncated(g, 10.0, 1.0, j_max)
+        assert f"operator_value = {op.value:.17g}" in out.splitlines()
 
     def test_literal_target(self, capsys):
         # leading '-' needs the --g=value form so argparse keeps it
@@ -94,13 +108,21 @@ class TestRefusals:
                      id="curve-fractional-n"),
         pytest.param("curve --xs 0:2.5", "neither a comma list nor start:stop:count",
                      id="malformed-grid"),
-        # A_m of the moment polynomial leaves the double range from m = 167
-        pytest.param("eval --g t^170 --u 10 --x 1", "coefficients of t^170 overflow a "
-                     "double (m >= 167)", id="eval-power-170"),
-        pytest.param("eval --g t^167 --u 10 --x 1 --J 5", "coefficients of t^167 overflow a "
-                     "double (m >= 167)", id="eval-truncated-power-167"),
-        pytest.param("moments --u 10 --xs 1 --max-m 170", "coefficients of t^167 overflow a "
-                     "double (m >= 167)", id="moments-order-170"),
+        # powers past m = 166, whose A_m leave the double range, are refused
+        # only where the value itself overflows (TestEval takes them at u = 10)
+        pytest.param("eval --g t^170 --u 0.5 --x 1", "operator value overflows",
+                     id="eval-power-170"),
+        pytest.param("eval --g t^167 --u 0.5 --x 1 --J 5", "partial sum to J=5 is not finite",
+                     id="eval-truncated-power-167"),
+        # the central moment keeps its float sum of integer coefficients
+        pytest.param("moments --u 10 --xs 1 --max-m 170", "central moment of order 167: a term "
+                     "of its float sum overflows at u=10.0, x=1.0", id="moments-order-170"),
+        pytest.param("table --xs 0:1:2.5", "grid count must be >= 0 and a whole number, got 2.5",
+                     id="grid-fractional-count"),
+        pytest.param("table --xs 0:1:nan", "grid count must be >= 0 and a whole number, got nan",
+                     id="grid-nan-count"),
+        pytest.param("curve --xs 0:1:-3", "grid count must be >= 0 and a whole number, got -3.0",
+                     id="grid-negative-count"),
     ])
     def test_refused_value_is_one_line_on_stderr(self, capsys, argv, kind):
         code = main(argv.split())
@@ -133,10 +155,17 @@ class TestTable:
         assert lines[0] == "x,n,u_n,operator_value,g_value,abs_error"
         assert len(lines) == 5
 
-    def test_power_past_the_moment_coefficients_is_an_overflow_cell(self, capsys):
-        code, out = run_cli(capsys, "table", "--g", "t^171", "--xs", "1", "--ns", "10")
+    def test_power_whose_value_overflows_is_an_overflow_cell(self, capsys):
+        # B(t^170; 1) is 1.9e169 at u = 10 and beyond the double range at u = 1
+        code, out = run_cli(capsys, "table", "--g", "t^170", "--xs", "1", "--ns", "1,10")
         assert code == 0
-        assert out.splitlines()[-1].split() == ["1", "overflow"]
+        assert out.splitlines()[-1].split() == ["1", "overflow", "1.92221e+169"]
+
+    def test_grid_count_in_exponent_form(self, capsys):
+        # 1e3 is a whole number; int('1e3') refused it
+        code, out = run_cli(capsys, "table", "--xs", "0:1:1e3", "--ns", "10")
+        assert code == 0
+        assert len(out.splitlines()) == 2 + 1000
 
     def test_empty_grid_writes_no_csv(self, capsys, tmp_path):
         dest = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import poisson
 
-from szmd import operator, quadrature, report
+from szmd import MonomialSum, apply, operator, quadrature, report
 from szmd.moments import (
     CentralMomentPoly,
     central_moment,
@@ -21,6 +22,8 @@ from szmd.moments import (
     recurrence_step,
     zeta_sq,
 )
+
+EPS = sys.float_info.epsilon
 
 
 def per_j_series(u, x, m, eps=1e-12):
@@ -61,6 +64,16 @@ def exact_central_moment(u, x, m):
                      for (k, d), c in central_moment_poly(m).coeffs.items()))
 
 
+def exact_raw_moment(u, x, m):
+    """u^-m sum_l A_m[l] (ux)^l in exact rationals at float (u, x), by Horner's
+    rule on integers over the common denominator of ux."""
+    n, d = (Fraction(u) * Fraction(x)).as_integer_ratio()
+    acc = 0
+    for l, a in enumerate(reversed(raw_moment_lambda_coeffs(m))):
+        acc = acc * n + a * d**l
+    return Fraction(acc, d**m) / Fraction(u) ** m
+
+
 def closed_form_raw(u, x, m):
     """The first four raw moments in their published closed forms."""
     return [
@@ -89,13 +102,26 @@ class TestRawMoments:
                 want = closed_form_raw(u, x, m)
                 np.testing.assert_allclose(raw_moment(u, x, m), want, rtol=1e-13)
 
-    def test_largest_power_keeps_its_bits_and_the_next_names_its_cause(self):
-        # the integer coefficients, each converted in its product as raw_moment once did
-        want = float(sum(a * 1.0**l * 10.0 ** float(l - 166)
-                         for l, a in enumerate(raw_moment_lambda_coeffs(166))))
-        assert raw_moment(10.0, 1.0, 166) == want
-        with pytest.raises(OverflowError, match=r"t\^167 overflow a double \(m >= 167\)"):
-            raw_moment(10.0, 1.0, 167)
+    @pytest.mark.parametrize("u, x, m", [
+        (10.0, 1.0, 166), (10.0, 1.0, 167), (10.0, 1.0, 170), (10.0, 0.0, 170),
+        (1e3, 2.5, 300), (1e3, 0.5, 1000), (2.0**20, 1.0, 1000), (512.0, 2.0**-20, 1000)])
+    def test_powers_past_the_double_range_of_a_m_match_fraction(self, u, x, m):
+        # A_m[l] leaves the double range from m = 167, the values do not.  The
+        # stated relative error is eps (3 |ln B| + 8m (|ln u| + |ln x|) + 4(m + 1)),
+        # the rounding of exp(ln sum_l A_m[l] (ux)^l - m ln u)
+        want = exact_raw_moment(u, x, m)
+        spread = (3 * abs(math.log(want)) + 4 * (m + 1)
+                  + 8 * m * (abs(math.log(u)) + (abs(math.log(x)) if x else 0.0)))
+        assert abs(Fraction(raw_moment(u, x, m)) - want) <= want * EPS * spread
+        # the operator on t^m carries its own budget
+        op = apply(MonomialSum(((1.0, m),)), u, x)
+        assert abs(Fraction(op.value) - want) <= Fraction(op.tail_bound)
+
+    @pytest.mark.parametrize("u, x, m", [(10.0, 1.0, 1000), (0.5, 1.0, 170), (1e-3, 10.0, 200)])
+    def test_power_whose_value_overflows_is_refused(self, u, x, m):
+        assert exact_raw_moment(u, x, m) > sys.float_info.max
+        with pytest.raises(OverflowError, match=rf"B\(t\^{m}; x\) overflows at u={u}, x={x}"):
+            raw_moment(u, x, m)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -250,10 +276,17 @@ class TestBruteforceOracle:
             for m, ref in enumerate(row):
                 assert abs(central_moment(u, x, m) - ref) <= 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("m", [-1, [0, -2], 2.5, [1.0, 2.0]])
+    @pytest.mark.parametrize("m", [-1, [0, -2], 2.5, [1.0, 2.5], True, [2, True]])
     def test_order_that_is_not_a_whole_number_is_refused(self, m):
-        with pytest.raises(ValueError, match="moment orders must be integers >= 0"):
+        with pytest.raises(ValueError, match="moment order m must be >= 0 and a whole number"):
             central_moment_bruteforce(10.0, 1.0, m)
+
+    def test_whole_orders_of_any_type_give_the_bits_of_ints(self):
+        # 3.0 was refused while central_moment took it
+        want = central_moment_bruteforce(10.0, 1.0, [1, 2, 3])
+        got = central_moment_bruteforce(10.0, 1.0, [1.0, np.int64(2), 3.0])
+        assert got.tobytes() == want.tobytes()
+        assert central_moment_bruteforce(10.0, 1.0, 3.0) == central_moment_bruteforce(10.0, 1.0, 3)
 
     @pytest.mark.parametrize("u, x", [(5.0, 0.1), (10.0, 1.0), (100.0, 2.5)])
     def test_matches_per_j_series(self, u, x):

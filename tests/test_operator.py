@@ -124,6 +124,26 @@ class TestClosedForm:
         assert op.series_terms_used == 0 and op.tail_mass == 0.0
         assert 0.0 < op.tail_bound <= 1e-13 * abs(op.value)
 
+    @pytest.mark.parametrize("terms, u, x", [
+        pytest.param(((1.0, 0, 0.0),), 1e200, 1.0, id="one"),
+        pytest.param(((1.0, 1, 0.0),), 1e200, 1e-100, id="t"),
+        pytest.param(((1.0, 2, 0.0),), 1e300, 0.0, id="t2-at-the-origin"),
+        pytest.param(((1.0, 0, 1e9),), 1e300, 1e-9, id="exp-1e9-t"),
+    ])
+    def test_u_past_the_square_root_of_the_double_range(self, terms, u, x):
+        # u*u*x/(u-a), and u*a*x/(u-a) for the last, overflowed from u ~ 1.34e154:
+        # apply and make_curves raised OperatorOverflow with "ln sum|c_k| B_k = nan"
+        (c, m, a), = terms
+        with mp.workdps(40):  # Kummer's transformation of the oracle in test_properties
+            mu, mx = mp.mpf(u), mp.mpf(x)
+            d = mu - a
+            want = (mu * mp.factorial(m) * d ** -(m + 1) * mp.exp(mu * a * mx / d)
+                    * mp.hyp1f1(-m, 1, -mu * mu * mx / d))
+        op = apply(ExpPolySum(terms), u, x)
+        assert abs(op.value - want) <= op.tail_bound
+        curve = szmd.make_curves(ExpPolySum(terms), [u], [0.0, x or 1.0])[1]
+        assert abs(dict(curve.points)[x] - want) <= op.tail_bound
+
     def test_sums_no_series(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a series was summed")

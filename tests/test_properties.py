@@ -52,6 +52,33 @@ def oracle(terms, u, x):
         return mp.fsum(c * b for c, b in parts), mp.fsum(abs(c) * b for c, b in parts)
 
 
+def log_kummer_oracle(u, x, m, a):
+    """ln kummer_oracle through Kummer's transformation 1F1(m+1; 1; L) =
+    e^L 1F1(-m; 1; -L) (DLMF 13.2.39), at 40 digits: e^{-ux} e^L becomes
+    e^{uax/(u-a)}, so no two exponents cancel (they lose every digit once
+    ux ~ 1e40), and the log leaves out exp of an exponent near 1e300, which
+    mpmath takes seconds for."""
+    with mp.workdps(40):
+        u, x, a = mp.mpf(u), mp.mpf(x), mp.mpf(a)
+        d = u - a
+        return (mp.log(u) + mp.log(mp.factorial(m)) - (m + 1) * mp.log(d) + u * a * x / d
+                + mp.log(mp.hyp1f1(-m, 1, -u * u * x / d)))
+
+
+def far_oracle(terms, u, x):
+    """(sum_k c_k B_k, ln sum_k |c_k| B_k) at 40 digits from log_kummer_oracle;
+    a term below e^-10000 of the largest, or a sum below e^-10000, is 0,
+    beyond every double's rounding."""
+    logs = [log_kummer_oracle(u, x, m, a) for _, m, a in terms]
+    with mp.workdps(40):
+        top = max(logs)
+        near = [(c, mp.exp(lg - top)) for (c, _, _), lg in zip(terms, logs) if lg - top > -1e4]
+        log_scale = top + mp.log(mp.fsum(abs(c) * w for c, w in near))
+        if not -1e4 < top <= LN_DBL_MAX + 1.0:
+            return mp.mpf(0), log_scale
+        return mp.exp(top) * mp.fsum(c * w for c, w in near), log_scale
+
+
 def partial_sum_oracle(terms, u, x, j_max):
     """sum_k c_k B_J(t^m e^{at}; x) at 50 digits, B_J the series cut after J:
     u sum_{j<=J} s_j(x) u^j (j+m)!/(j! (u-a)^{j+m+1}), each term from the one
@@ -93,6 +120,7 @@ rates = uniform(-5.0, 3.0)
 exppoly = st.lists(st.tuples(coeffs, st.integers(0, 4), rates),
                    min_size=1, max_size=3).map(tuple)
 points = uniform(0.0, 2.5)
+far_points = st.one_of(st.just(0.0), log_uniform(1e-300, 1e300))
 deviations = uniform(-6.0, 6.0)
 
 
@@ -139,6 +167,41 @@ def test_matches_the_oracle_within_tail_bound(case):
         return
     op = apply(ExpPolySum(terms), u, x)
     assert abs(op.value - want) <= op.tail_bound
+
+
+@st.composite
+def far_regimes(draw):
+    """(terms, u, x) with powers up to 1000, u in (rate + 0.01, 1e300],
+    log-uniform above the rate, and x 0, in [0, 2.5] or log-uniform over
+    [1e-300, 1e300]."""
+    terms = draw(st.lists(st.tuples(coeffs, st.integers(0, 1000), rates),
+                          min_size=1, max_size=3).map(tuple))
+    rate = max(max(a for _, _, a in terms), 0.0)
+    u = min(rate + draw(log_uniform(0.01, 1e300)), 1e300)
+    return terms, u, draw(st.one_of(points, far_points))
+
+
+@settings(max_examples=100)
+@given(far_regimes())
+def test_large_powers_and_far_points_within_budget(case):
+    # A_m[l] leaves the double range from m = 167 and u*u*x/(u-a) from
+    # u ~ 1.34e154; apply and a column of the grid form keep their budgets
+    # wherever sum_k |c_k| B_k is finite, and refuse exactly where it is not
+    terms, u, x = case
+    want, log_scale = far_oracle(terms, u, x)
+    log_scale = float(log_scale)
+    assume(abs(log_scale - LN_DBL_MAX) > 1e-6)
+    g, column, xs = ExpPolySum(terms), np.array([[u]]), np.array([x])
+    if log_scale > LN_DBL_MAX:
+        with pytest.raises(OperatorOverflow):
+            apply(g, u, x)
+        with pytest.raises(OperatorOverflow):
+            _closed_form_grid(column, xs, terms)
+        return
+    op = apply(g, u, x)
+    assert abs(op.value - want) <= op.tail_bound
+    values, budgets = _closed_form_grid(column, xs, terms)
+    assert abs(values[0, 0] - want) <= budgets[0, 0]
 
 
 @given(regimes(), st.lists(uniform(0.0, 4.0), min_size=1, max_size=4))
@@ -308,9 +371,6 @@ def test_partial_sum_matches_a_50_digit_series_in_every_regime(case, j_max):
 @given(log_uniform(0.01, 1e6), points, points)
 def test_kernel_symmetry_is_bitwise(u, x, t):
     assert kernel_value(u, x, t) == kernel_value(u, t, x)
-
-
-far_points = st.one_of(st.just(0.0), log_uniform(1e-300, 1e300))
 
 
 @st.composite

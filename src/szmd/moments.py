@@ -163,9 +163,13 @@ def central_moments_by_recurrence(max_order: int,
 
 def zeta_sq(u: float, x: float) -> float:
     """The factor with zeta^2(x) = x + 1/u; 2*zeta_sq/u is the second
-    central moment."""
+    central moment.  Raises OverflowError where x + 1/u leaves the double
+    range, as 1/u does for u below ~5.6e-309."""
     _check_point(u, x)
-    return x + 1.0 / u
+    value = x + 1.0 / u
+    if value == math.inf:
+        raise OverflowError(f"zeta_sq = x + 1/u overflows at u={u}, x={x}")
+    return value
 
 
 def zeta(u: float, x: float) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .basis import _check_point, _check_whole, _special_on_first_call, log_weights, tail_mass
 from .moments import _LN_DBL_MAX, _log_moment_sum, _log_moment_sum_grid
-from .quadrature import DivergentIntegral, kernel_integral, log_exppoly_integrals
+from .quadrature import ConvergenceFailure, DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
@@ -470,9 +470,15 @@ def kernel_cdf(u: float, x: float, y: float) -> float:
     The result is nondecreasing in y and tends to 1 as y grows.  Once
     ux >= ~100, chndtr returns 0 for masses below ~1e-44 (2.5e-45 at
     ux = 100, uy = 0.024), so a small value carries an absolute error of up
-    to that size rather than a relative one.
+    to that size rather than a relative one.  Where chndtr's series fails
+    (NaN, from u ~ 1e9 at x = 100 and u ~ 1e12 at x = 1), ConvergenceFailure
+    is raised.
     """
     _check_point(u, x, y)
     if y == 0.0:
         return 0.0
-    return float(chndtr(2.0 * u * y, 2.0, 2.0 * u * x))
+    mass = float(chndtr(2.0 * u * y, 2.0, 2.0 * u * x))
+    if math.isnan(mass):
+        raise ConvergenceFailure(f"kernel_cdf has no value at u={u}, x={x}, y={y}: "
+                                 "scipy.special.chndtr returned nan")
+    return mass

@@ -58,7 +58,9 @@ class DivergentIntegral(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Quadrature refinement was exhausted without reaching the tolerance."""
+    """A numerical method gave no value: quadrature refinement was exhausted
+    without reaching the tolerance, a black box was not finite, or
+    kernel_cdf's noncentral chi-square series returned NaN."""
 
 
 def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarray:

@@ -10,13 +10,7 @@ from szmd.basis import log_weights, tail_mass
 from szmd.moments import raw_moment_lambda_coeffs
 from szmd.operator import apply_truncated
 from szmd.targets import BUILTIN_TARGETS
-
-mp.mp.dps = 50
-
-
-def _weight_mp(u, j, x):
-    lam = mp.mpf(u) * mp.mpf(x)
-    return mp.e ** (-lam) * lam**j / mp.factorial(j)
+import reference
 
 
 def _weight(u, j, x):
@@ -33,7 +27,7 @@ class TestSzaszWeight:
 
     def test_large_index_against_mpmath(self):
         got = _weight(50.0, 60, 1.0)
-        want = float(_weight_mp(50, 60, 1))
+        want = float(reference.poisson_weight(50.0, 60))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_agrees_with_naive_form(self):
@@ -74,14 +68,14 @@ class TestLogWeights:
         lw = log_weights(10.0, 1.5, j)
         for jj in (0, 1, 5, 15, 40, 79):
             np.testing.assert_allclose(
-                math.exp(lw[jj]), float(_weight_mp(10, jj, 1.5)), rtol=1e-12
+                math.exp(lw[jj]), float(reference.poisson_weight(15.0, jj)), rtol=1e-12
             )
 
     def test_accuracy_at_huge_parameter(self):
         lam = 2.5e6
         for jj in (2_500_000, 2_503_117, 2_480_000):
             got = float(log_weights(1e6, 2.5, np.array([jj]))[0])
-            want = float(mp.log(_weight_mp(mp.mpf(1e6), jj, mp.mpf(2.5))))
+            want = float(mp.log(reference.poisson_weight(lam, jj, dps=50)))
             assert abs(got - want) < 1e-12
 
     def test_x_zero(self):
@@ -107,7 +101,9 @@ class TestNormalization:
         # float64 drowns tails below ~1e-13 in cancellation noise
         u, x = 10.0, 1.0
         for j_last in (5, 10, 20, 40):
-            direct = float(1 - mp.fsum(_weight_mp(u, j, x) for j in range(j_last + 1)))
+            with mp.workdps(50):
+                direct = float(1 - mp.fsum(reference.poisson_weight(u * x, j, dps=50)
+                                           for j in range(j_last + 1)))
             np.testing.assert_allclose(tail_mass(u, x, j_last), direct, rtol=1e-12)
 
 

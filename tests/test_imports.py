@@ -1,6 +1,7 @@
-"""What importing szmd and its scipy-free paths load, and what the first
-scipy.special call binds.  Each case runs in a fresh interpreter, since this
-one has long imported scipy.special."""
+"""What importing szmd and its scipy-free paths load, what the first
+scipy.special call binds, and that the test references load no szmd.  Each
+case runs in a fresh interpreter, since this one has long imported
+scipy.special and szmd."""
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import scipy.special  # noqa: F401  (imported up front for the eval below)
 import szmd
 
 SRC = str(Path(szmd.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def run_fresh(code: str) -> list[str]:
@@ -70,3 +72,14 @@ import scipy.special
 print(all(getattr(szmd.{module}, n) is getattr(scipy.special, n) for n in {names!r}))
 """
     assert run_fresh(code) == [repr(eval(call)), "True"]
+
+
+def test_references_import_nothing_from_szmd():
+    # szmd is importable here, so a reference that used it would load it
+    code = f"""
+import sys
+sys.path.insert(0, {TESTS!r})
+import reference
+print(sorted(m for m in sys.modules if m.split(".")[0] == "szmd"))
+"""
+    assert run_fresh(code) == ["[]"]

@@ -1,13 +1,11 @@
 import math
+import re
 import sys
-import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.stats import poisson
 
 from szmd import MonomialSum, apply, operator, quadrature, report
 from szmd.moments import (
@@ -20,58 +18,12 @@ from szmd.moments import (
     raw_moment,
     raw_moment_lambda_coeffs,
     recurrence_step,
+    zeta,
     zeta_sq,
 )
+import reference
 
 EPS = sys.float_info.epsilon
-
-
-def per_j_series(u, x, m, eps=1e-12):
-    """B((t - x)^m; x) as its Poisson series, one adaptive quad per j.
-
-    Independent of both the kernel and the moment polynomials: the series
-    stops where the neglected Poisson mass is below eps.  Needs x > 0.
-    """
-    lam = u * x
-    j_last = int(poisson.isf(eps, lam))
-    total = 0.0
-    for j in range(j_last + 1):
-        w = math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
-        if w < 1e-16:
-            continue
-
-        def f(t: float, j: int = j) -> float:
-            if t <= 0.0:
-                return (t - x) ** m if j == 0 else 0.0
-            lw = j * math.log(u * t) - u * t - math.lgamma(j + 1)
-            return math.exp(lw) * (t - x) ** m if lw > -745.0 else 0.0
-
-        hi = (j + 40.0 + 12.0 * math.sqrt(j + 1.0)) / u + 2.0 * x
-        pts = [x] if 0.0 < x < hi else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(
-                f, 0.0, hi, points=pts, limit=300, epsabs=1e-15, epsrel=1e-13
-            )
-        total += w * val
-    return u * total
-
-
-def exact_central_moment(u, x, m):
-    """The moment polynomial evaluated in exact rationals at float (u, x)."""
-    u, x = Fraction(u), Fraction(x)
-    return float(sum(c * x**k / u**d
-                     for (k, d), c in central_moment_poly(m).coeffs.items()))
-
-
-def exact_raw_moment(u, x, m):
-    """u^-m sum_l A_m[l] (ux)^l in exact rationals at float (u, x), by Horner's
-    rule on integers over the common denominator of ux."""
-    n, d = (Fraction(u) * Fraction(x)).as_integer_ratio()
-    acc = 0
-    for l, a in enumerate(reversed(raw_moment_lambda_coeffs(m))):
-        acc = acc * n + a * d**l
-    return Fraction(acc, d**m) / Fraction(u) ** m
 
 
 def closed_form_raw(u, x, m):
@@ -109,7 +61,7 @@ class TestRawMoments:
         # A_m[l] leaves the double range from m = 167, the values do not.  The
         # stated relative error is eps (3 |ln B| + 8m (|ln u| + |ln x|) + 4(m + 1)),
         # the rounding of exp(ln sum_l A_m[l] (ux)^l - m ln u)
-        want = exact_raw_moment(u, x, m)
+        want = reference.exact_raw_moment(u, x, m)
         spread = (3 * abs(math.log(want)) + 4 * (m + 1)
                   + 8 * m * (abs(math.log(u)) + (abs(math.log(x)) if x else 0.0)))
         assert abs(Fraction(raw_moment(u, x, m)) - want) <= want * EPS * spread
@@ -119,7 +71,7 @@ class TestRawMoments:
 
     @pytest.mark.parametrize("u, x, m", [(10.0, 1.0, 1000), (0.5, 1.0, 170), (1e-3, 10.0, 200)])
     def test_power_whose_value_overflows_is_refused(self, u, x, m):
-        assert exact_raw_moment(u, x, m) > sys.float_info.max
+        assert reference.exact_raw_moment(u, x, m) > sys.float_info.max
         with pytest.raises(OverflowError, match=rf"B\(t\^{m}; x\) overflows at u={u}, x={x}"):
             raw_moment(u, x, m)
 
@@ -172,6 +124,14 @@ class TestCentralMoments:
             for x in (0.0, 0.3, 1.0, 2.5):
                 want = 2.0 * zeta_sq(u, x) / u
                 np.testing.assert_allclose(central_moment(u, x, 2), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("f", [zeta_sq, zeta])
+    @pytest.mark.parametrize("u", [5e-309, 1e-320])
+    def test_zeta_refuses_where_one_over_u_overflows(self, f, u):
+        # both returned inf
+        with pytest.raises(OverflowError, match=re.escape(f"x + 1/u overflows at u={u}, x=1.0")):
+            f(u, 1.0)
+        assert zeta_sq(6e-309, 1.0) == 1.6666666666666664e308
 
 
 class TestRecurrence:
@@ -226,7 +186,7 @@ class TestBruteforceOracle:
     @pytest.mark.parametrize("u", [5.0, 10.0, 1e4, 1e6])
     @pytest.mark.parametrize("x", [0.0, 0.1, 1.0])
     def test_matches_closed_form_low_orders(self, u, x):
-        want = [exact_central_moment(u, x, m) for m in range(7)]
+        want = [float(reference.exact_central_moment(u, x, m)) for m in range(7)]
         for m in range(7):
             np.testing.assert_allclose(central_moment_bruteforce(u, x, m), want[m], rtol=1e-9)
         # all orders as the columns of one kernel integral
@@ -292,7 +252,7 @@ class TestBruteforceOracle:
     def test_matches_per_j_series(self, u, x):
         for m in range(5):
             np.testing.assert_allclose(
-                central_moment_bruteforce(u, x, m), per_j_series(u, x, m), rtol=1e-8
+                central_moment_bruteforce(u, x, m), reference.per_j_series(u, x, m), rtol=1e-8
             )
 
 

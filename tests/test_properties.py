@@ -1,21 +1,21 @@
 """Properties of the operator, its kernel and the kernel CDF over random
 exp-poly targets and regimes.
 
-Values are checked against 40-digit mpmath references that do not share the
-closed form under test: the operator's series summed as a Kummer function,
-the kernel as a Bessel function, the kernel CDF as its incomplete-gamma
-series; the partial series is summed term by term at 50 digits.  The hypothesis profile in conftest.py keeps the examples fixed.
+Values are checked against references (reference.py) that do not share the
+closed form under test: the series as a Kummer function and term by term, the
+kernel as a Bessel function and its CDF as an incomplete-gamma series.  The
+hypothesis profile in conftest.py keeps the examples fixed.
 """
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc
 
 from szmd.operator import (
     OperatorOverflow,
@@ -28,72 +28,12 @@ from szmd.operator import (
     kernel_value,
 )
 from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum, parse_target
+import reference
 
 EPS = sys.float_info.epsilon
 LN_DBL_MAX = math.log(sys.float_info.max)
 X2E2X = BUILTIN_TARGETS["x2e2x"]
 NEGX3E5X = BUILTIN_TARGETS["negx3e5x"]
-
-
-def kummer_oracle(u, x, m, a):
-    """B(t^m e^{at}; x) = u m! (u-a)^{-(m+1)} e^{-ux} 1F1(m+1; 1; u^2 x/(u-a)),
-    the Poisson series summed as a Kummer function at 40 digits."""
-    with mp.workdps(40):
-        u, x, a = mp.mpf(u), mp.mpf(x), mp.mpf(a)
-        d = u - a
-        return +(u * mp.factorial(m) * d ** -(m + 1) * mp.exp(-u * x)
-                 * mp.hyp1f1(m + 1, 1, u * u * x / d))
-
-
-def oracle(terms, u, x):
-    """(sum_k c_k B_k, sum_k |c_k| B_k) at 40 digits."""
-    with mp.workdps(40):
-        parts = [(c, kummer_oracle(u, x, m, a)) for c, m, a in terms]
-        return mp.fsum(c * b for c, b in parts), mp.fsum(abs(c) * b for c, b in parts)
-
-
-def log_kummer_oracle(u, x, m, a):
-    """ln kummer_oracle through Kummer's transformation 1F1(m+1; 1; L) =
-    e^L 1F1(-m; 1; -L) (DLMF 13.2.39), at 40 digits: e^{-ux} e^L becomes
-    e^{uax/(u-a)}, so no two exponents cancel (they lose every digit once
-    ux ~ 1e40), and the log leaves out exp of an exponent near 1e300, which
-    mpmath takes seconds for."""
-    with mp.workdps(40):
-        u, x, a = mp.mpf(u), mp.mpf(x), mp.mpf(a)
-        d = u - a
-        return (mp.log(u) + mp.log(mp.factorial(m)) - (m + 1) * mp.log(d) + u * a * x / d
-                + mp.log(mp.hyp1f1(-m, 1, -u * u * x / d)))
-
-
-def far_oracle(terms, u, x):
-    """(sum_k c_k B_k, ln sum_k |c_k| B_k) at 40 digits from log_kummer_oracle;
-    a term below e^-10000 of the largest, or a sum below e^-10000, is 0,
-    beyond every double's rounding."""
-    logs = [log_kummer_oracle(u, x, m, a) for _, m, a in terms]
-    with mp.workdps(40):
-        top = max(logs)
-        near = [(c, mp.exp(lg - top)) for (c, _, _), lg in zip(terms, logs) if lg - top > -1e4]
-        log_scale = top + mp.log(mp.fsum(abs(c) * w for c, w in near))
-        if not -1e4 < top <= LN_DBL_MAX + 1.0:
-            return mp.mpf(0), log_scale
-        return mp.exp(top) * mp.fsum(c * w for c, w in near), log_scale
-
-
-def partial_sum_oracle(terms, u, x, j_max):
-    """sum_k c_k B_J(t^m e^{at}; x) at 50 digits, B_J the series cut after J:
-    u sum_{j<=J} s_j(x) u^j (j+m)!/(j! (u-a)^{j+m+1}), each term from the one
-    before by the ratio (ux/(j+1)) u(j+m+1)/((j+1)(u-a))."""
-    with mp.workdps(50):
-        u, x = mp.mpf(u), mp.mpf(x)
-        value = mp.mpf(0)
-        for c, m, a in terms:
-            d = u - a
-            term = total = u * mp.exp(-u * x) * mp.factorial(m) / d ** (m + 1)
-            for j in range(j_max):
-                term *= u * x * u * (j + m + 1) / ((j + 1) ** 2 * d)
-                total += term
-            value += c * total
-        return value
 
 
 def apply_or_skip(terms, u, x):
@@ -146,7 +86,7 @@ def test_near_edge_growing_target():
     # u just above the growth rate 2: the series lives at L = 404, far past
     # the Poisson mode ux = 2.01
     op = apply(X2E2X, 2.01, 1.0)
-    assert abs(op.value - kummer_oracle(2.01, 1.0, 2, 2.0)) <= op.tail_bound
+    assert abs(op.value - reference.kummer(2.01, 1.0, 2, 2.0)) <= op.tail_bound
     np.testing.assert_allclose(op.value, 1.28e186, rtol=1e-2)
 
 
@@ -158,7 +98,7 @@ def test_growing_target_at_large_x():
 @given(regimes())
 def test_matches_the_oracle_within_tail_bound(case):
     terms, u, x = case
-    want, scale = oracle(terms, u, x)
+    want, scale = reference.oracle(terms, u, x)
     log_scale = float(mp.log(scale))
     assume(abs(log_scale - LN_DBL_MAX) > 1e-9)
     if log_scale > LN_DBL_MAX:
@@ -188,7 +128,7 @@ def test_large_powers_and_far_points_within_budget(case):
     # u ~ 1.34e154; apply and a column of the grid form keep their budgets
     # wherever sum_k |c_k| B_k is finite, and refuse exactly where it is not
     terms, u, x = case
-    want, log_scale = far_oracle(terms, u, x)
+    want, log_scale = reference.far_oracle(terms, u, x)
     log_scale = float(log_scale)
     assume(abs(log_scale - LN_DBL_MAX) > 1e-6)
     g, column, xs = ExpPolySum(terms), np.array([[u]]), np.array([x])
@@ -275,7 +215,7 @@ def test_constants_and_first_moment(u, x):
     one = apply(MonomialSum(((1.0, 0),)), u, x)
     assert abs(one.value - 1.0) <= one.tail_bound
     first = apply(MonomialSum(((1.0, 1),)), u, x)
-    assert abs(first.value - (mp.mpf(x) + 1 / mp.mpf(u))) <= first.tail_bound
+    assert abs(Fraction(first.value) - reference.exact_raw_moment(u, x, 1)) <= first.tail_bound
 
 
 @given(regimes(targets=st.tuples(uniform(0.1, 3.0), points, rates).map(
@@ -336,15 +276,15 @@ def test_blackbox_matches_the_closed_form(case):
 ])
 def test_partial_sum_matches_a_50_digit_series(u, x, j_max):
     # the majorant is the |g|-majorant's closed form, as in the property below
-    want = partial_sum_oracle(NEGX3E5X.terms, u, x, j_max)
+    want = reference.partial_sum_oracle(NEGX3E5X.terms, u, x, j_max)
     majorant = abs(apply(NEGX3E5X, u, x).value)
     assert abs(apply_truncated(NEGX3E5X, u, x, j_max).value - want) <= 1e-12 * majorant
 
 
 def test_the_series_oracle_tells_j2_from_j3():
     # the 1e-12 majorant tolerance above separates neighbouring cuts
-    j2 = partial_sum_oracle(NEGX3E5X.terms, 15.0, 1.0, 2)
-    j3 = partial_sum_oracle(NEGX3E5X.terms, 15.0, 1.0, 3)
+    j2 = reference.partial_sum_oracle(NEGX3E5X.terms, 15.0, 1.0, 2)
+    j3 = reference.partial_sum_oracle(NEGX3E5X.terms, 15.0, 1.0, 3)
     got = apply_truncated(NEGX3E5X, 15.0, 1.0, 3).value
     majorant = abs(apply(NEGX3E5X, 15.0, 1.0).value)
     assert abs(got - j3) <= 1e-12 * majorant < abs(got - j2)
@@ -360,7 +300,7 @@ def test_partial_sum_matches_a_50_digit_series_in_every_regime(case, j_max):
         got = apply_truncated(ExpPolySum(terms), u, x, j_max).value
     except OperatorOverflow:
         assume(False)
-    want = partial_sum_oracle(terms, u, x, j_max)
+    want = reference.partial_sum_oracle(terms, u, x, j_max)
     assert abs(got - want) <= 1e-12 * majorant
 
 
@@ -403,9 +343,7 @@ def test_kernel_forms_agree_over_the_double_range(case):
 @given(log_uniform(0.01, 1e6), points, deviations)
 def test_kernel_matches_bessel(u, x, z):
     t = near(u, x, z)
-    with mp.workdps(40):
-        mu, mx, mt = mp.mpf(u), mp.mpf(x), mp.mpf(t)
-        want = mu * mp.besseli(0, 2 * mu * mp.sqrt(mx * mt)) * mp.exp(-mu * (mx + mt))
+    want = reference.kernel(u, x, t)
     scalar = kernel_value(u, x, t)
     # the array form the kernel integral evaluates, at the same node
     array = float(_kernel_values(u, x, np.array([t, t]))[1])
@@ -420,28 +358,10 @@ def test_kernel_cdf_is_monotone(u, x, z1, z2):
     assert kernel_cdf(u, x, lo) <= kernel_cdf(u, x, hi)
 
 
-def cdf_series(u, x, y):
-    """sum_j s_{u,j}(x) P(j+1, uy) out to 40 standard deviations past the
-    mode; the Poisson weights step out from a 40-digit weight at the mode,
-    which keeps them ~1e-14 accurate where exp(j ln(ux) - ux - ln j!)
-    loses ~ux * eps_mach."""
-    lam = u * x
-    if lam == 0.0:
-        return float(gammainc(1.0, u * y))
-    mode = int(lam)
-    hi = int(lam + 40.0 * math.sqrt(lam) + 50.0)
-    with mp.workdps(40):
-        w_mode = float(mp.exp(mode * mp.log(lam) - lam - mp.loggamma(mode + 1)))
-    down = w_mode * np.cumprod(np.arange(mode, 0.0, -1.0) / lam)[::-1]
-    up = w_mode * np.cumprod(lam / np.arange(mode + 1.0, hi + 1.0))
-    w = np.concatenate([down, [w_mode], up])
-    return math.fsum(w * gammainc(np.arange(0.0, hi + 1.0) + 1.0, u * y))
-
-
 @given(log_uniform(0.01, 400.0), points, deviations)
 def test_kernel_cdf_matches_the_incomplete_gamma_series(u, x, z):
     y = near(u, x, z)
-    want = cdf_series(u, x, y)
+    want = reference.cdf_series(u, x, y)
     assume(want >= 1e-30)
     assert abs(kernel_cdf(u, x, y) - want) <= 1e-12 * want
 

@@ -13,7 +13,6 @@ from scipy.special import gammainc, gammaincc
 
 import szmd
 from szmd import operator
-from szmd.basis import log_weights
 from szmd.operator import apply, apply_truncated
 from szmd.quadrature import (
     ConvergenceFailure,
@@ -23,6 +22,7 @@ from szmd.quadrature import (
     log_exppoly_integrals,
 )
 from szmd.targets import BlackBox, ExpPolySum, MonomialSum
+import reference
 
 US = (1e2, 1e4, 1e6)
 XS = (0.0, 0.1, 1.0, 2.5)
@@ -40,13 +40,11 @@ def _abs_shift_reference(u, x):
     inner integral is E|T-1| = (1-k)(2P-1) + 2 s_{u,j}(1): both terms are
     >= 0 near the kink, so nothing cancels.
     """
-    lam = u * x
-    j = np.arange(max(0.0, math.floor(lam - 40.0 * math.sqrt(lam) - 50.0)),
-                  math.ceil(lam + 40.0 * math.sqrt(lam) + 50.0) + 1.0)
+    j = reference.poisson_window(u * x)
     k = (j + 1.0) / u
     inner = ((1.0 - k) * (gammainc(j + 1.0, u) - gammaincc(j + 1.0, u))
-             + 2.0 * np.exp(log_weights(u, 1.0, j)))
-    return math.fsum(np.exp(log_weights(u, x, j)) * inner)
+             + 2.0 * reference.poisson_weights(u, j))
+    return math.fsum(reference.poisson_weights(u * x, j) * inner)
 
 
 class TestExactMonomial:

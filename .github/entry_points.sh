@@ -6,6 +6,8 @@ set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
 
 szmd moments --u 1e6 --max-m 12
+szmd moments --u 10 --xs 1 --max-m 170
+szmd eval --g t --u 10 --x 1 --J 1e3
 szmd verify --tables none
 szmd verify --tables spot
 szmd table --rule n --paper-check
@@ -34,3 +36,5 @@ szmd bounds --which dbv --g t2 --u 400 --x 1
 szmd bounds --which kfunctional --g expneg --u 1e3 --x 1
 szmd bounds --which lipschitz --g expneg --u 1e3 --x 1
 szmd bounds --which lipspace --g expneg --u 1e3 --x 1
+rc=0; szmd bounds --which lipspace --g expneg --u 1e-150 --x 1e-200 2>"$out/err" || rc=$?
+test "$rc" -eq 2; test "$(wc -l <"$out/err")" -eq 1

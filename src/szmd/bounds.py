@@ -120,6 +120,8 @@ def kfunctional_bound(g, u: float, x: float, domain=None, step=None) -> KFunctio
     """
     _check_point(u, x)
     delta_n = central_moment(u, x, 2) + 1.0 / u**2
+    if delta_n == math.inf:
+        raise OverflowError(f"delta_n = mu_2 + 1/u^2 overflows at u={u}, x={x}")
     gamma_n = 1.0 / u
     w2 = second_modulus(g, math.sqrt(delta_n) / 2.0, domain=domain, step=step)
     w1 = modulus(g, gamma_n, domain=domain, step=step)
@@ -178,7 +180,10 @@ def lip_space_bound(
     denom = x * (x * m1 + m2)
     if not (denom > 0.0):
         raise ValueError(f"bound is vacuous: x(x*m1 + m2) = {denom} <= 0")
-    return M * (central_moment(u, x, 2) / denom) ** (s / 2.0)
+    bound = M * (central_moment(u, x, 2) / denom) ** (s / 2.0)
+    if bound == math.inf:
+        raise OverflowError(f"Lipschitz-space bound overflows at u={u}, x={x}")
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -130,15 +130,14 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_moments(args: argparse.Namespace) -> int:
     xs = _parse_grid(args.xs)
     _check_point(args.u, 0.0)
-    if args.max_m < 0:
-        raise ValueError(f"--max-m must be >= 0, got {args.max_m}")
+    max_m = _check_whole(args.max_m, "--max-m")
     if not xs:
         raise ValueError(f"--xs {args.xs!r} gives no x")
     rows = [
         f"{x:.17g},{m},{raw_moment(args.u, x, m):.17g},"
         f"{central_moment(args.u, x, m):.17g}"
         for x in xs
-        for m in range(args.max_m + 1)
+        for m in range(max_m + 1)
     ]
     print("\n".join(["x,m,raw_moment,central_moment", *rows]))
     return 0
@@ -191,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_arg(p)
     p.add_argument("--u", type=float, help="operator parameter u")
     p.add_argument("--rule", default="n", help="sequence rule: n, n1.5, n2, explicit:...")
-    p.add_argument("--n", type=int, default=1, help="sequence index when --u is absent")
+    p.add_argument("--n", type=float, default=1, help="sequence index when --u is absent")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--J", type=int, help="sum the series to this fixed index instead of "
+    p.add_argument("--J", type=float, help="sum the series to this fixed index instead of "
                    "taking the closed form")
     p.set_defaults(func=_cmd_eval)
 
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="raw and central moment dump")
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--xs", default="0.1,0.5,1.0,2.5")
-    p.add_argument("--max-m", type=int, default=6)
+    p.add_argument("--max-m", type=float, default=6)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("bounds", help="error-bound calculators at one point")

@@ -87,15 +87,25 @@ class CentralMomentPoly:
     coeffs: PolyXU
 
     def evaluate(self, u: float, x: float) -> float:
+        """The sum of the terms c x^k u^(-d), correctly rounded.
+
+        As doubles, x = p/2^s and u = q/2^t, so over the common denominator
+        2^(sK) q^D, K and D the largest k and d, the sum is one integer and
+        int / int rounds it once.  No power and no coefficient has to fit a
+        double; only a value past the double range is refused.
+        """
         _check_point(u, x)
-        total = 0.0
-        try:  # float(c) fails from order 167, a power of u or x where it overflows
-            for (k, d), c in self.coeffs.items():
-                total += float(c) * u ** float(-d) * x**k
+        (p, a), (q, b) = float(x).as_integer_ratio(), float(u).as_integer_ratio()
+        s, t = a.bit_length() - 1, b.bit_length() - 1
+        K, D = map(max, zip((0, 0), *self.coeffs))
+        num = 0
+        for (k, d), c in self.coeffs.items():
+            num += c * (p**k * q**(D - d) << s * (K - k) + t * d)
+        try:  # float(): a Fraction coefficient makes the quotient a Fraction
+            return float(num / (q**D << s * K))
         except OverflowError:
-            raise OverflowError(f"central moment of order {self.order}: a term of its float "
-                                f"sum overflows at u={u}, x={x}") from None
-        return total
+            raise OverflowError(f"central moment of order {self.order} overflows the double "
+                                f"range at u={u}, x={x}") from None
 
     def coeff_gap(self, other: "CentralMomentPoly") -> int:
         """Largest |coefficient difference| with other, exact."""

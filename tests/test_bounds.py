@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from szmd.bounds import (
     second_modulus,
     total_variation,
 )
-from szmd.moments import zeta_sq
+from szmd.moments import central_moment, zeta_sq
 from szmd.targets import BUILTIN_TARGETS, BlackBox, MonomialSum, exppoly_derivative
 
 EXPNEG = BUILTIN_TARGETS["expneg"]
@@ -154,6 +155,14 @@ class TestKFunctionalBound:
         slope = np.polyfit(np.log(us), np.log(deltas), 1)[0]
         assert abs(slope + 1.0) < 0.1
 
+    def test_width_past_the_double_range_is_refused(self):
+        # mu_2 ~ 1.4e308 is finite, mu_2 + 1/u^2 is not; second_modulus was
+        # handed delta = inf and refused it as an input
+        assert math.isfinite(central_moment(1.2e-154, 1.0, 2))
+        with pytest.raises(OverflowError, match=re.escape(
+                "delta_n = mu_2 + 1/u^2 overflows at u=1.2e-154, x=1.0")):
+            kfunctional_bound(EXPNEG, 1.2e-154, 1.0)
+
     def test_combined_scales_with_constant(self):
         res = kfunctional_bound(EXPNEG, 100.0, 1.0)
         np.testing.assert_allclose(
@@ -216,6 +225,13 @@ class TestLipSpaceBound:
         vals = [lip_space_bound(1.0, 1.0, 1.0, 0.7, u, 1.0) for u in (10, 100, 1000)]
         assert all(v > 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_quotient_past_the_double_range_is_refused(self):
+        # returned inf: mu_2 = 2e300 is finite, mu_2 / x(x + 1) = 2e500 is not
+        assert central_moment(1e-150, 1e-200, 2) == 2e300
+        with pytest.raises(OverflowError,
+                           match="Lipschitz-space bound overflows at u=1e-150, x=1e-200"):
+            lip_space_bound(1.0, 1.0, 1.0, 1.0, 1e-150, 1e-200)
 
     def test_vacuous_at_origin(self):
         with pytest.raises(ValueError):

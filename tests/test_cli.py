@@ -28,6 +28,11 @@ class TestEval:
         assert code == 0
         assert "u = 100" in out
 
+    def test_whole_number_flags_in_exponent_form(self, capsys):
+        # argparse's int() refused 1e3
+        assert run_cli(capsys, *"eval --g t --u 10 --x 1 --J 1e3".split()) == run_cli(
+            capsys, *"eval --g t --u 10 --x 1 --J 1000".split())
+
     def test_fixed_truncation(self, capsys):
         code, out = run_cli(
             capsys, "eval", "--g", "one", "--u", "15", "--x", "0", "--J", "0"
@@ -66,8 +71,17 @@ class TestRefusals:
         pytest.param("moments --u 0", "u must be positive", id="moments-zero-u"),
         pytest.param("moments --u nan --xs 1", "u must be positive", id="moments-nan-u"),
         pytest.param("moments --u 10 --xs nan", "x must be >= 0", id="moments-nan-x"),
-        pytest.param("moments --u 10 --max-m -1", "--max-m must be >= 0, got -1",
+        pytest.param("moments --u 10 --max-m -1",
+                     "--max-m must be >= 0 and a whole number, got -1.0",
                      id="moments-negative-max-m"),
+        pytest.param("moments --u 10 --max-m 2.5",
+                     "--max-m must be >= 0 and a whole number, got 2.5",
+                     id="moments-fractional-max-m"),
+        pytest.param("eval --g t --u 10 --x 1 --J 2.7", "J must be >= 0 and a whole number, got 2.7",
+                     id="eval-fractional-J"),
+        pytest.param("eval --g t --n 2.5 --x 1",
+                     "sequence index n must be >= 1 and a whole number, got 2.5",
+                     id="eval-fractional-n"),
         pytest.param("moments --u 10 --xs=", "--xs '' gives no x", id="moments-empty-xs"),
         pytest.param("moments --u 10 --xs 0:1:0", "--xs '0:1:0' gives no x",
                      id="moments-zero-count-xs"),
@@ -114,9 +128,10 @@ class TestRefusals:
                      id="eval-power-170"),
         pytest.param("eval --g t^167 --u 0.5 --x 1 --J 5", "partial sum to J=5 is not finite",
                      id="eval-truncated-power-167"),
-        # the central moment keeps its float sum of integer coefficients
-        pytest.param("moments --u 10 --xs 1 --max-m 170", "central moment of order 167: a term "
-                     "of its float sum overflows at u=10.0, x=1.0", id="moments-order-170"),
+        # the raw moment's column comes first and |mu_m| <= 2 B(t^m; x), so the
+        # raw value is the one that leaves the double range (TestMoments takes 170)
+        pytest.param("moments --u 1e-300 --xs 1 --max-m 2", "B(t^2; x) overflows at u=1e-300",
+                     id="moments-value-overflows"),
         pytest.param("table --xs 0:1:2.5", "grid count must be >= 0 and a whole number, got 2.5",
                      id="grid-fractional-count"),
         pytest.param("table --xs 0:1:nan", "grid count must be >= 0 and a whole number, got nan",
@@ -197,6 +212,13 @@ class TestMoments:
         last = rows[-1].split(",")
         np.testing.assert_allclose(float(last[2]), 1.42, rtol=1e-12)
         np.testing.assert_allclose(float(last[3]), 0.22, rtol=1e-12)
+
+    def test_orders_whose_coefficients_leave_the_double_range(self, capsys):
+        # from order 167 the float sum of the coefficients was refused
+        code, out = run_cli(capsys, "moments", "--u", "10", "--xs", "1", "--max-m", "170")
+        assert code == 0
+        _, m, _, central = out.splitlines()[-1].split(",")
+        assert (m, float(central)) == ("170", 7.24319170470233e+165)
 
 
 class TestBounds:

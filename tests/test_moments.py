@@ -133,6 +133,21 @@ class TestCentralMoments:
             f(u, 1.0)
         assert zeta_sq(6e-309, 1.0) == 1.6666666666666664e308
 
+    @pytest.mark.parametrize("u, x, m, want", [
+        (1e155, 1e155, 4, 12.0), (1e200, 1e200, 4, 12.0),  # x^2 and u^-2 overflow apart
+        (10.0, 1.0, 170, 7.24319170470233e+165),  # coefficients past the double range
+        (10.0, 2.5, 167, 2.362193006982782e+175)])
+    def test_finite_value_the_float_sum_refused(self, u, x, m, want):
+        # each raised OverflowError from a term of a float sum
+        assert central_moment(u, x, m) == want == float(reference.exact_central_moment(u, x, m))
+
+    @pytest.mark.parametrize("u, x, m", [(10.0, 1.0, 300), (1e-300, 1.0, 2), (5e-324, 0.0, 3)])
+    def test_value_past_the_double_range_is_refused(self, u, x, m):
+        assert reference.exact_central_moment(u, x, m) > sys.float_info.max
+        with pytest.raises(OverflowError, match=re.escape(
+                f"central moment of order {m} overflows the double range at u={u}, x={x}")):
+            central_moment(u, x, m)
+
 
 class TestRecurrence:
     def test_second_moment_polynomial(self):
@@ -168,6 +183,18 @@ class TestRecurrence:
         # on x^1, so the map cannot be keyed by k (or by k + d) alone
         chain = central_moments_by_recurrence(2, misplace_x=True)[2]
         assert chain.coeffs == {(1, 2): 1, (1, 1): 2, (2, 2): 2}
+
+    @pytest.mark.parametrize("u, x", [(10.0, 2.0), (0.3, 1e-5), (1e155, 1e155), (1e-3, 1e30)])
+    def test_misplaced_chain_is_its_own_sum_correctly_rounded(self, u, x):
+        # k + d differs from the order here, so the map is evaluated as it stands
+        for poly in central_moments_by_recurrence(8, misplace_x=True):
+            want = sum(c * Fraction(x) ** k / Fraction(u) ** d for (k, d), c in poly.coeffs.items())
+            assert poly.evaluate(u, x) == float(want)
+
+    def test_fraction_coefficient_gives_a_float(self):
+        poly = CentralMomentPoly(2, {(1, 1): Fraction(1, 3), (0, 2): 2})
+        got = poly.evaluate(10.0, 1.0)
+        assert type(got) is float and got == float(Fraction(1, 30) + Fraction(2, 100))
 
     def test_coefficient_gap_is_exact(self):
         good = central_moment_poly(4)

@@ -1,5 +1,5 @@
 """Properties of the operator, its kernel and the kernel CDF over random
-exp-poly targets and regimes.
+exp-poly targets and regimes, and of the central moments over the double range.
 
 Values are checked against references (reference.py) that do not share the
 closed form under test: the series as a Kummer function and term by term, the
@@ -7,6 +7,7 @@ kernel as a Bessel function and its CDF as an incomplete-gamma series.  The
 hypothesis profile in conftest.py keeps the examples fixed.
 """
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from szmd.moments import central_moment
 from szmd.operator import (
     OperatorOverflow,
     _closed_form,
@@ -406,3 +408,23 @@ def test_parse_target_returns_the_rendered_terms(case):
     terms, text = case
     want = tuple((sign * coeff, power, rate or 0.0) for sign, coeff, power, rate in terms)
     assert repr(parse_target(text).terms) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the central moments
+
+
+@given(log_uniform(1e-320, 1e308), st.one_of(st.just(0.0), log_uniform(1e-320, 1e308)),
+       st.integers(0, 40))
+def test_central_moment_is_the_exact_value_correctly_rounded(u, x, m):
+    # bit for bit the float of the exact rational, and refused exactly where
+    # that float overflows; the float sum of the terms refused finite values
+    # (a power of u or x overflowing alone) and was off in its last bits
+    want = reference.exact_central_moment(u, x, m)
+    try:
+        want = float(want)
+    except OverflowError:
+        with pytest.raises(OverflowError, match=re.escape(f"order {m} overflows the double range")):
+            central_moment(u, x, m)
+    else:
+        assert central_moment(u, x, m) == want

@@ -22,6 +22,8 @@ rc=0; szmd curve --us 15 --xs 0,1 --J 2.7 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --ns 10.9 --xs 1 2>"$out/err" || rc=$?; test "$rc" -eq 2; grep -qF 'whole number' "$out/err"
 rc=0; szmd eval --g 't^2.5' --u 10 --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd moments --u 10 --max-m -1 || rc=$?; test "$rc" -eq 2
+rc=0; szmd moments --u 10 --xs 1 --max-m 300 2>"$out/err" || rc=$?
+test "$rc" -eq 2; test "$(wc -l <"$out/err")" -eq 1
 rc=0; szmd table --xs 0:1:0 || rc=$?; test "$rc" -eq 2
 szmd eval --g 't^170' --u 10 --x 1
 rc=0; szmd eval --g 't^170' --u 0.5 --x 1 2>"$out/err" || rc=$?; test "$rc" -eq 2

@@ -1,15 +1,15 @@
 """Raw and central moments of the operator in closed polynomial form.
 
-Applying the operator to t^m gives (1/u^m) * E[(X+1)(X+2)...(X+m)] with
-X ~ Poisson(ux), which is m! L_m(-ux) for the Laguerre polynomial L_m
-(DLMF 18.5.12): an integer-coefficient polynomial in ux, whose A_m every
-closed form takes only as logs, in one log-sum-exp (_log_moment_sum), so no
-A_m[l] and no power of ux has to fit a double.  Central moments are kept as
-one flat map {(k, d): c} of integer coefficients c of the terms c x^k u^(-d),
-so the derivative-based recurrence and the binomial expansion can be compared
-coefficient-wise without rounding.  The reference central_moment_bruteforce
-is a quadrature of (t - x)^m against the kernel instead, so it shares no code
-with these polynomials.
+Both are read off the generating function B(e^(st); x) = u/(u - s)
+exp(usx/(u - s)), s < u: m! times its s^m coefficient is u^-m m! L_m(-ux)
+(DLMF 18.12.13), so u^m B(t^m; x) = sum_l A_m[l] (ux)^l, A_m[l] = C(m, l)
+m!/l!, integers every closed form takes only as logs (one log-sum-exp,
+_log_moment_sum), so none has to fit a double.  Times e^(-sx) it is the
+central one, (1 - s/u)^(-1) exp(s^2 x/(u - s)): mu_m = sum_(k <= m/2) m!/k!
+C(m - k, k) x^k u^(-(m-k)), one flat map {(k, d): c} of the integer c of each
+term c x^k u^(-d), which the paper's derivative recurrence derives apart, so
+the two are compared exactly.  central_moment_bruteforce, a quadrature of
+(t - x)^m against the kernel, shares no code with these polynomials.
 """
 from __future__ import annotations
 
@@ -31,10 +31,13 @@ _LN_DBL_MAX = math.log(np.finfo(float).max)
 def raw_moment_lambda_coeffs(m: int) -> tuple[int, ...]:
     """Integer A with u^m * B(t^m; x) = sum_l A[l] (ux)^l.
 
-    These are the coefficients of m! L_m(-ux): A[l] = C(m, l) m! / l!.
+    These are the coefficients of m! L_m(-ux): A[l] = C(m, l) m!/l!.
     """
     m = _check_whole(m, "moment order m")
-    return tuple(math.comb(m, l) * math.perm(m, m - l) for l in range(m + 1))
+    a = [1]  # A[m]; A[l - 1] = A[l] l^2/(m - l + 1), exactly
+    for l in range(m, 0, -1):
+        a.append(a[-1] * l * l // (m - l + 1))
+    return tuple(reversed(a))
 
 
 @lru_cache(maxsize=None)
@@ -119,18 +122,15 @@ class CentralMomentPoly:
 
 @lru_cache(maxsize=None, typed=True)
 def central_moment_poly(m: int) -> CentralMomentPoly:
-    """Central moment polynomial by binomial expansion over raw moments.
+    """Central moment polynomial read off the central generating function.
 
-    (t - x)^m = sum_i C(m, i) (-x)^(m-i) t^i, and B(t^i; x) contributes
-    A_i[l] x^l u^(l-i), so every term has k + d = m.
+    B(e^(s(t - x)); x) = (1 - s/u)^(-1) exp(s^2 x/(u - s)), and its s^m
+    coefficient times m! is sum_(k <= m/2) m!/k! C(m - k, k) x^k u^(-(m-k)):
+    every term has k + d = m and a positive integer coefficient.
     """
     m = _check_whole(m, "moment order m")
-    acc: dict[tuple[int, int], int] = defaultdict(int)
-    for i in range(m + 1):
-        sign = (-1) ** (m - i) * math.comb(m, i)
-        for l, a in enumerate(raw_moment_lambda_coeffs(i)):
-            acc[l + m - i, i - l] += sign * a
-    return CentralMomentPoly(m, {kd: c for kd, c in acc.items() if c})
+    return CentralMomentPoly(m, {(k, m - k): math.perm(m, m - k) * math.comb(m - k, k)
+                                 for k in range(m // 2 + 1)})
 
 
 def central_moment(u: float, x: float, m: int) -> float:

@@ -362,7 +362,7 @@ def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
             for u, x in pts for m in range(4))
     checks.append(_check("raw-moments-closed-form", gaps, 1e-13))
 
-    # recurrence vs binomial expansion, exact coefficients
+    # derivative recurrence vs generating function, two derivations, exact coefficients
     rec = central_moments_by_recurrence(6)
     gaps = (float(rec[m].coeff_gap(central_moment_poly(m))) for m in range(7))
     checks.append(_check("central-moment-recurrence", gaps, 1e-12))

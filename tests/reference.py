@@ -125,6 +125,16 @@ def poisson_weights(lam, j):
     return np.concatenate([down, [w0], up])
 
 
+def closed_form_raw(u, x, m):
+    """The first four raw moments in their published closed forms."""
+    return [
+        1.0,
+        1.0 / u + x,
+        (2.0 + 4.0 * x * u + x**2 * u**2) / u**2,
+        (6.0 + 18.0 * x * u + 9.0 * x**2 * u**2 + x**3 * u**3) / u**3,
+    ][m]
+
+
 def exact_raw_moment(u, x, m):
     """B(t^m; x) = u^-m sum_l A_m[l] (ux)^l, A_m[l] = C(m, l) m!/l! the
     integers of m! L_m(-ux) (DLMF 18.5.12), in exact rationals at float
@@ -142,6 +152,17 @@ def exact_central_moment(u, x, m):
     x_q = Fraction(x)
     return sum(math.comb(m, i) * (-x_q) ** (m - i) * exact_raw_moment(u, x, i)
                for i in range(m + 1))
+
+
+def central_moments_taylor(u, x, max_m, dps=50):
+    """B((t - x)^m; x) for m = 0..max_m as m! times the theta^m Taylor
+    coefficient of the central generating function
+    B(e^{theta (t - x)}; x) = u/(u - theta) exp(theta^2 x/(u - theta))."""
+    with mp.workdps(dps):
+        u, x = mp.mpf(u), mp.mpf(x)
+        coeffs = mp.taylor(lambda th: u / (u - th) * mp.exp(th * th * x / (u - th)), 0, max_m,
+                           chop=False)  # chop would zero the tiny coefficients at large u
+        return [+(mp.factorial(m) * c) for m, c in enumerate(coeffs)]
 
 
 def per_j_series(u, x, m, eps=1e-12):

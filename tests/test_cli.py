@@ -132,6 +132,8 @@ class TestRefusals:
         # raw value is the one that leaves the double range (TestMoments takes 170)
         pytest.param("moments --u 1e-300 --xs 1 --max-m 2", "B(t^2; x) overflows at u=1e-300",
                      id="moments-value-overflows"),
+        pytest.param("moments --u 10 --xs 1 --max-m 300", "B(t^268; x) overflows at u=10.0",
+                     id="moments-order-268-overflows"),
         pytest.param("table --xs 0:1:2.5", "grid count must be >= 0 and a whole number, got 2.5",
                      id="grid-fractional-count"),
         pytest.param("table --xs 0:1:nan", "grid count must be >= 0 and a whole number, got nan",

@@ -26,16 +26,6 @@ import reference
 EPS = sys.float_info.epsilon
 
 
-def closed_form_raw(u, x, m):
-    """The first four raw moments in their published closed forms."""
-    return [
-        1.0,
-        1.0 / u + x,
-        (2.0 + 4.0 * x * u + x**2 * u**2) / u**2,
-        (6.0 + 18.0 * x * u + 9.0 * x**2 * u**2 + x**3 * u**3) / u**3,
-    ][m]
-
-
 class TestRawMoments:
     def test_constant_is_fixed(self):
         for u in (1.0, 17.3, 1e5):
@@ -51,7 +41,7 @@ class TestRawMoments:
             u = float(rng.uniform(0.5, 2000.0))
             x = float(rng.uniform(0.0, 3.0))
             for m in range(4):
-                want = closed_form_raw(u, x, m)
+                want = reference.closed_form_raw(u, x, m)
                 np.testing.assert_allclose(raw_moment(u, x, m), want, rtol=1e-13)
 
     @pytest.mark.parametrize("u, x, m", [
@@ -141,6 +131,17 @@ class TestCentralMoments:
         # each raised OverflowError from a term of a float sum
         assert central_moment(u, x, m) == want == float(reference.exact_central_moment(u, x, m))
 
+    @pytest.mark.parametrize("u", [3.0, 10.0, 123.4, 1e4])
+    @pytest.mark.parametrize("x", [0.0, 0.1, 1.7, 2.5])
+    def test_within_half_an_ulp_of_the_generating_function(self, u, x):
+        # m! times a Taylor coefficient of u/(u - theta) exp(theta^2 x/(u - theta))
+        # at 50 digits, a derivation that shares nothing with the coefficient map;
+        # the slack of 1e-45 is the reference's own rounding
+        with mp.workdps(50):
+            for m, want in enumerate(reference.central_moments_taylor(u, x, 20)):
+                got = central_moment(u, x, m)
+                assert abs(got - want) <= math.ulp(got) / 2 + abs(want) * mp.mpf("1e-45")
+
     @pytest.mark.parametrize("u, x, m", [(10.0, 1.0, 300), (1e-300, 1.0, 2), (5e-324, 0.0, 3)])
     def test_value_past_the_double_range_is_refused(self, u, x, m):
         assert reference.exact_central_moment(u, x, m) > sys.float_info.max
@@ -169,6 +170,13 @@ class TestRecurrence:
         rec = central_moments_by_recurrence(6)
         for m in range(7):
             assert rec[m].same_coeffs(central_moment_poly(m))
+
+    def test_coefficientwise_agreement_through_order_300(self):
+        # the paper's derivative recurrence against the generating function's
+        # closed-form coefficients: two derivations, compared exactly
+        rec = central_moments_by_recurrence(300)
+        for m in range(301):
+            assert rec[m].coeffs == central_moment_poly(m).coeffs
 
     def test_misplaced_x_variant_breaks_at_first_step(self):
         bad = recurrence_step(

@@ -7,6 +7,7 @@ out="${RUNNER_TEMP:-$(mktemp -d)}"
 
 szmd moments --u 1e6 --max-m 12
 szmd moments --u 10 --xs 1 --max-m 170
+szmd moments --u 123.4 --xs 1.7 --max-m 267
 szmd eval --g t --u 10 --x 1 --J 1e3
 szmd verify --tables none
 szmd verify --tables spot

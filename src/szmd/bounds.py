@@ -199,17 +199,17 @@ class TotalVariationEstimate:
 def _cumulative_variation(f, lo, hi, samples, breakpoints, ends=()):
     """Partition [lo, hi] and return (grid, cum), cum the running |df| sum.
 
-    The grid holds `samples` uniform points, the given ends and each
-    breakpoint bracketed within 1e-6; f takes the whole grid in one call,
-    or one point per call if it only takes scalars.  The variation between
-    grid points a < b is cum[b] - cum[a]."""
+    The sorted grid holds `samples` uniform points, the given ends and each
+    breakpoint bracketed within 1e-6, repeats kept (each adds an exact 0); f
+    takes it in one call, or one point per call if it only takes scalars.
+    The variation between grid points a <= b is cum[b] - cum[a]."""
     if not (-math.inf < lo <= hi < math.inf):
         raise ValueError(f"interval [{lo}, {hi}] must be finite with lo <= hi")
     samples = _check_whole(samples, "samples", 2)
     brackets = [
         t for bp in breakpoints for t in (bp - 1e-6, bp, bp + 1e-6) if lo < t < hi
     ]
-    grid = np.unique(np.concatenate((np.linspace(lo, hi, samples), ends, brackets)))
+    grid = np.sort(np.concatenate((np.linspace(lo, hi, samples), ends, brackets)))
     vals = _grid_values(f, grid)
     return grid, np.concatenate(([0.0], np.cumsum(np.abs(np.diff(vals)))))
 
@@ -228,7 +228,7 @@ def total_variation(
     """
     a, b = float(interval[0]), float(interval[1])
     grid, cum = _cumulative_variation(f, a, b, samples, breakpoints)
-    return TotalVariationEstimate((a, b), float(cum[-1]), len(grid))
+    return TotalVariationEstimate((a, b), float(cum[-1]), 1 + int(np.count_nonzero(np.diff(grid))))
 
 
 @dataclass(frozen=True)
@@ -310,9 +310,9 @@ def dbv_bound(
     bps = tuple(spec.breakpoints) + (x,)
     ends = np.concatenate((lefts, rights, [x]))
     grid, cum = _cumulative_variation(h, 0.0, 2.0 * x, tv_samples, bps, ends)
-    at_x = cum[np.searchsorted(grid, x)]
-    left_tv = at_x - cum[np.searchsorted(grid, lefts)]
-    right_tv = cum[np.searchsorted(grid, rights)] - at_x
+    at_ends = cum[np.searchsorted(grid, ends)]  # lefts, rights, then x
+    left_tv = at_ends[-1] - at_ends[:len(radii)]
+    right_tv = at_ends[len(radii):-1] - at_ends[-1]
 
     sum_weight = 2.0 * z2 / (x * u)
     terms = (

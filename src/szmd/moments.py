@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,23 +92,36 @@ class CentralMomentPoly:
     def evaluate(self, u: float, x: float) -> float:
         """The sum of the terms c x^k u^(-d), correctly rounded.
 
-        As doubles, x = p/2^s and u = q/2^t, so over the common denominator
-        2^(sK) q^D, K and D the largest k and d, the sum is one integer and
-        int / int rounds it once.  No power and no coefficient has to fit a
-        double; only a value past the double range is refused.
-        """
+        With x = p/2^s and u = q/2^t a term is c (pq/2^(s+t))^k (2^t/q)^(k+d), so
+        over _layout's denominator L q^N 2^((s+t)K) the sum is one integer, by
+        Horner's rule in pq over k for each k + d; int / int rounds it once, and
+        no power or coefficient has to fit a double, only the value."""
         _check_point(u, x)
         (p, a), (q, b) = float(x).as_integer_ratio(), float(u).as_integer_ratio()
         s, t = a.bit_length() - 1, b.bit_length() - 1
-        K, D = map(max, zip((0, 0), *self.coeffs))
+        big_k, big_n, lcd, rows = self._layout
         num = 0
-        for (k, d), c in self.coeffs.items():
-            num += c * (p**k * q**(D - d) << s * (K - k) + t * d)
-        try:  # float(): a Fraction coefficient makes the quotient a Fraction
-            return float(num / (q**D << s * K))
+        for n, row in rows:
+            h = 0
+            for i, c in enumerate(row):
+                h = h * (p * q) + (c << (s + t) * i)
+            num += h * q**(big_n - n) << t * n
+        try:
+            return float(num / (lcd * q**big_n << (s + t) * big_k))
         except OverflowError:
             raise OverflowError(f"central moment of order {self.order} overflows the double "
                                 f"range at u={u}, x={x}") from None
+
+    @cached_property
+    def _layout(self) -> tuple[int, int, int, tuple[tuple[int, list[int]], ...]]:
+        """(K, N, L, rows), taken once: the largest k and n = k + d, the common
+        denominator L of the coefficients, and (n, L c for k = K, ..., 0) per n."""
+        big_k, big_n = map(max, zip((0, 0), *((k, k + d) for k, d in self.coeffs)))
+        lcd = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        rows = defaultdict(lambda: [0] * (big_k + 1))
+        for (k, d), c in self.coeffs.items():
+            rows[k + d][big_k - k] = int(c * lcd)
+        return big_k, big_n, lcd, tuple(rows.items())
 
     def coeff_gap(self, other: "CentralMomentPoly") -> int:
         """Largest |coefficient difference| with other, exact."""

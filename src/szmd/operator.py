@@ -9,11 +9,11 @@ weights over j gives every exp-poly term the closed form
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
 targets never sum the series.  The sum is taken in log space from ln L
 (moments._log_moment_sum), so every power and u give a value where it is
-finite.  apply takes it at one point with math
-(_closed_form); a grid of (u, x) points, such as every u series of
-make_curves at once, takes its array twin (_closed_form_grid) in one numpy
-call, which costs more than the scalar form at one point and far less on a
-grid.  The same sum is the kernel integral
+finite.  apply takes it at one point with math (_closed_form), with its
+rounding budget; a grid of (u, x) points, such as every u series of
+make_curves at once, takes its array twin (_closed_form_grid), values only,
+in one numpy call, which costs more than the scalar form at one point and
+far less on a grid.  The same sum is the kernel integral
 B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
 whose Bessel closed form lets a black box be integrated against it by one
 adaptive quadrature; the quadrature takes the kernel in an array form
@@ -210,54 +210,43 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
     return value, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + sum(weights))
 
 
-def _closed_form_grid(u, xs: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
-    """_closed_form over the 1-d array xs >= 0 and u, one value or an array
-    that broadcasts against xs, such as a column of u: values and budgets.
+def _closed_form_grid(u, xs: np.ndarray, terms) -> np.ndarray:
+    """_closed_form's value over the 1-d array xs >= 0 and u, one value or an
+    array that broadcasts against xs, such as a column of u.
 
     The parts are _closed_form's (P by moments._log_moment_sum_grid), added in
-    turn rather than exactly rounded, so a value can differ from
-    _closed_form's in its last bits, but not from a call with its u alone.
-    The budget is _closed_form's formula.  Raises OperatorOverflow, naming
-    (u, x), when sum_k |c_k| B_k exceeds the double range.
-    """
+    turn rather than exactly rounded, so a value can differ from _closed_form's
+    in its last bits, within _closed_form's budget at its point, but not from
+    a call with its u alone.  Raises OperatorOverflow, naming (u, x), when
+    sum_k |c_k| B_k exceeds the double range."""
     u = np.asarray(u, dtype=np.float64)
-    logs, signs, conds = [], [], []
+    logs, signs = [], []
     # refused below if not finite; ln 0 = -inf at x = 0 and at u/(u-a) = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ln_u, ln_x = np.log(u), np.log(xs)
-        span = np.abs(ln_u) + np.abs(ln_x)
         for c, m, a in terms:
             if c == 0.0:
                 continue
             ratio = u / (u - a)
             ln_ratio = np.log(ratio)
             ln_l = ln_u + ln_x + ln_ratio
-            parts = (math.log(abs(c)), -m * ln_u, (m + 1) * ln_ratio, ratio * a * xs,
-                     _log_moment_sum_grid(m, ln_l))
-            logs.append(sum(parts))
+            logs.append(math.log(abs(c)) - m * ln_u + (m + 1) * ln_ratio + ratio * a * xs
+                        + _log_moment_sum_grid(m, ln_l))
             signs.append(math.copysign(1.0, c))
-            drift = np.where(ln_l > -np.inf, 5.0 * m * (span + np.abs(ln_ratio)), 0.0)
-            conds.append(2.5 * sum(map(np.abs, parts)) + drift + 5.0 * (m + 1) + 2.0 + len(terms))
         if not logs:
-            return np.zeros(np.broadcast(u, xs).shape), np.zeros(np.broadcast(u, xs).shape)
+            return np.zeros(np.broadcast(u, xs).shape)
         top = functools.reduce(np.maximum, logs)
         weights = [np.exp(lg - top) for lg in logs]
-        total = functools.reduce(np.add, weights)
-        log_scale = top + np.log(total)
+        log_scale = top + np.log(functools.reduce(np.add, weights))
         big = np.where(log_scale <= _LN_DBL_MAX, np.exp(top), np.inf)
         value = big * functools.reduce(np.add, [s * w for s, w in zip(signs, weights)])
-        cond = functools.reduce(np.add, [w * k for w, k in zip(weights, conds)])
-        budget = _EPS * big * cond
-        low = big < sys.float_info.min
-        if low.any():
-            budget = np.where(low, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + total), budget)
     bad = ~np.isfinite(value)
     if bad.any():
         k = int(np.argmax(bad))
         at_u, at_x = (np.broadcast_to(v, value.shape).flat[k] for v in (u, xs))
         raise OperatorOverflow(f"operator value overflows at u={at_u}, x={at_x}: "
                                f"ln sum|c_k| B_k = {log_scale.flat[k]:.6g}")
-    return value, budget
+    return value
 
 
 def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float, float]:
@@ -353,7 +342,7 @@ def _apply_grid(g: TargetFunction, u, xs: np.ndarray) -> np.ndarray:
     terms = exppoly_terms(g)
     if terms is None:
         return window_integral(u, xs, lambda t, _: g(t), g.growth_rate, g.kinks)[0]
-    return _closed_form_grid(u, xs, terms)[0]
+    return _closed_form_grid(u, xs, terms)
 
 
 def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:

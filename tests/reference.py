@@ -135,23 +135,37 @@ def closed_form_raw(u, x, m):
     ][m]
 
 
-def exact_raw_moment(u, x, m):
-    """B(t^m; x) = u^-m sum_l A_m[l] (ux)^l, A_m[l] = C(m, l) m!/l! the
-    integers of m! L_m(-ux) (DLMF 18.5.12), in exact rationals at float
-    (u, x), by Horner's rule on integers over the common denominator of ux."""
-    n, d = (Fraction(u) * Fraction(x)).as_integer_ratio()
-    acc = 0
+def _scaled(u, x):
+    """Integers (n, d, w) with ux = n/d and ud = w at float (u, x)."""
+    (u_num, u_den), (x_num, x_den) = Fraction(u).as_integer_ratio(), Fraction(x).as_integer_ratio()
+    return u_num * x_num, u_den * x_den, u_num * x_den
+
+
+def _raw_numerator(n, d, m):
+    """sum_l A_m[l] n^l d^(m-l) = (ud)^m B(t^m; x) for ux = n/d, A_m[l] =
+    C(m, l) m!/l! the integers of m! L_m(-ux) (DLMF 18.5.12), by Horner's rule
+    with a running power of d."""
+    acc, d_power = 0, 1
     for l in range(m, -1, -1):
-        acc = acc * n + math.comb(m, l) * (math.factorial(m) // math.factorial(l)) * d ** (m - l)
-    return Fraction(acc, d**m) / Fraction(u) ** m
+        acc = acc * n + math.comb(m, l) * (math.factorial(m) // math.factorial(l)) * d_power
+        d_power *= d
+    return acc
+
+
+def exact_raw_moment(u, x, m):
+    """B(t^m; x) = u^-m sum_l A_m[l] (ux)^l in exact rationals at float (u, x)."""
+    n, d, w = _scaled(u, x)
+    return Fraction(_raw_numerator(n, d, m), w**m)
 
 
 def exact_central_moment(u, x, m):
     """B((t - x)^m; x) = sum_i C(m, i) (-x)^(m-i) B(t^i; x) in exact
-    rationals at float (u, x)."""
-    x_q = Fraction(x)
-    return sum(math.comb(m, i) * (-x_q) ** (m - i) * exact_raw_moment(u, x, i)
-               for i in range(m + 1))
+    rationals at float (u, x).  With ux = n/d and ud = w, (-x)^(m-i) is
+    (-n)^(m-i)/w^(m-i) and B(t^i; x) is _raw_numerator/w^i, so the terms are
+    integers over w^m, summed before one Fraction is normalised."""
+    n, d, w = _scaled(u, x)
+    return Fraction(sum(math.comb(m, i) * (-n) ** (m - i) * _raw_numerator(n, d, i)
+                        for i in range(m + 1)), w**m)
 
 
 def central_moments_taylor(u, x, max_m, dps=50):

@@ -265,6 +265,11 @@ class TestTotalVariation:
         h = recentered_derivative(abs_shift_array_spec(), 0.9)
         assert h(ts).tolist() == [0.0, 0.0, 2.0, 2.0, 2.0]
 
+    def test_samples_counts_distinct_partition_points(self):
+        # the breakpoint 0 is also a uniform point: -1, -1e-6, 0, 1e-6, 1
+        est = total_variation(abs, (-1.0, 1.0), samples=3, breakpoints=(0.0, 0.0))
+        assert (est.value, est.samples) == (2.0, 5)
+
     def test_superadditivity_under_splitting(self):
         f = lambda t: math.sin(3.0 * t)
         whole = total_variation(f, (0.0, 2.0), samples=4096).value

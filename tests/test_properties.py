@@ -127,8 +127,8 @@ def far_regimes(draw):
 @given(far_regimes())
 def test_large_powers_and_far_points_within_budget(case):
     # A_m[l] leaves the double range from m = 167 and u*u*x/(u-a) from
-    # u ~ 1.34e154; apply and a column of the grid form keep their budgets
-    # wherever sum_k |c_k| B_k is finite, and refuse exactly where it is not
+    # u ~ 1.34e154; apply and a column of the grid form keep within apply's
+    # budget wherever sum_k |c_k| B_k is finite, and refuse exactly where it is not
     terms, u, x = case
     want, log_scale = reference.far_oracle(terms, u, x)
     log_scale = float(log_scale)
@@ -142,8 +142,7 @@ def test_large_powers_and_far_points_within_budget(case):
         return
     op = apply(g, u, x)
     assert abs(op.value - want) <= op.tail_bound
-    values, budgets = _closed_form_grid(column, xs, terms)
-    assert abs(values[0, 0] - want) <= budgets[0, 0]
+    assert abs(_closed_form_grid(column, xs, terms)[0, 0] - want) <= op.tail_bound
 
 
 @given(regimes(), st.lists(uniform(0.0, 4.0), min_size=1, max_size=4))
@@ -157,17 +156,15 @@ def test_closed_form_grid_matches_the_scalar_form(case, spread):
         want = [_closed_form(u, v, terms) for v in xs.tolist()]
     except OperatorOverflow:
         assume(False)
-    values, budgets = _closed_form_grid(u, xs, terms)
-    for value, budget, (w_value, w_budget) in zip(values, budgets, want):
+    for value, (w_value, w_budget) in zip(_closed_form_grid(u, xs, terms), want):
         assert abs(value - w_value) <= w_budget
-        assert budget == pytest.approx(w_budget, rel=1e-10)
 
 
 @given(exppoly, st.lists(log_uniform(0.01, 1e6), min_size=1, max_size=3), st.data())
 def test_closed_form_grid_over_many_u_keeps_each_u_alone(terms, offsets, data):
     # u one per x, drawn with repeats from one to three values, and a column
     # of u against the grid: each point has the bits of the call with its own
-    # u alone, values and budgets
+    # u alone
     rate = max(max(a for _, _, a in terms), 0.0)
     distinct = [min(rate + offset, 1e6) for offset in offsets]
     n = data.draw(st.integers(1, 12))
@@ -181,10 +178,9 @@ def test_closed_form_grid_over_many_u_keeps_each_u_alone(terms, offsets, data):
             with pytest.raises(OperatorOverflow):
                 _closed_form_grid(us, xs, terms)
             return
-    values, budgets = _closed_form_grid(us, xs, terms)
-    for v, (want_values, want_budgets) in alone.items():
+    values = _closed_form_grid(us, xs, terms)
+    for v, want_values in alone.items():
         assert values[us == v].tobytes() == want_values.tobytes()
-        assert budgets[us == v].tobytes() == want_budgets.tobytes()
     # a column of the drawn u, with its repeats, against every x: one row per u
     column = np.array(distinct)[:, None]
     try:
@@ -193,10 +189,8 @@ def test_closed_form_grid_over_many_u_keeps_each_u_alone(terms, offsets, data):
         with pytest.raises(OperatorOverflow):
             _closed_form_grid(column, xs, terms)
         return
-    values, budgets = _closed_form_grid(column, xs, terms)
-    for row_values, row_budgets, (want_values, want_budgets) in zip(values, budgets, rows):
+    for row_values, want_values in zip(_closed_form_grid(column, xs, terms), rows):
         assert row_values.tobytes() == want_values.tobytes()
-        assert row_budgets.tobytes() == want_budgets.tobytes()
 
 
 @given(regimes(), uniform(-3.0, 3.0))
@@ -414,6 +408,7 @@ def test_parse_target_returns_the_rendered_terms(case):
 # the central moments
 
 
+@settings(max_examples=200)
 @given(log_uniform(1e-320, 1e308), st.one_of(st.just(0.0), log_uniform(1e-320, 1e308)),
        st.integers(0, 40))
 def test_central_moment_is_the_exact_value_correctly_rounded(u, x, m):

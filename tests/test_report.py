@@ -66,6 +66,14 @@ class TestErrorTable:
                 make_error_table(target, SequenceRule.identity(), xs=(0.5, bad), ns=(10,))
         assert seen == []
 
+    def test_rule_without_u_n_is_refused_before_the_target_runs(self):
+        # the table called g(1.0) before the rule refused n = 3
+        seen = []
+        g = BlackBox(lambda t: seen.append(t) or t, growth_rate=0.0)
+        with pytest.raises(ValueError, match="explicit rule has 2 values, got n=3"):
+            make_error_table(g, SequenceRule.from_explicit([1, 2]), xs=(1.0,), ns=(3,))
+        assert seen == []
+
     def test_errors_nonnegative_finite(self):
         t = make_error_table(X2E2X, SequenceRule.identity(), xs=(0.1, 1.0), ns=(10, 50))
         for c in t.cells:

@@ -22,8 +22,8 @@ from .bounds import (
     total_variation,
 )
 from .moments import (
-    CentralMomentPoly,
     DecayReport,
+    MomentPoly,
     central_moment,
     central_moment_bruteforce,
     central_moment_poly,

@@ -18,12 +18,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import _check_point, _check_whole
-from .moments import central_moment, zeta, zeta_sq
+from .moments import MomentPoly, central_moment, zeta, zeta_sq
 from .operator import _apply_grid, apply
 from .targets import TargetFunction, map_scalar
 
 # Slack for rounding when a realized error is compared with its bound.
 CHECK_TOL = 1e-9
+_DELTA_N = MomentPoly(2, {(1, 1): 2, (0, 2): 3}, "delta_n = mu_2 + 1/u^2 overflows")
 
 
 def _grid_values(g, ts: np.ndarray) -> np.ndarray:
@@ -115,13 +116,10 @@ def kfunctional_bound(g, u: float, x: float, domain=None, step=None) -> KFunctio
     """Second-modulus error decomposition at (u, x).
 
     delta_n adds 1/u^2 to the second central moment, the extra term the
-    shifted auxiliary operator picks up; gamma_n is the first central
-    moment 1/u.
+    shifted auxiliary operator picks up, 2x/u + 3/u^2 correctly rounded;
+    gamma_n is the first central moment 1/u.
     """
-    _check_point(u, x)
-    delta_n = central_moment(u, x, 2) + 1.0 / u**2
-    if delta_n == math.inf:
-        raise OverflowError(f"delta_n = mu_2 + 1/u^2 overflows at u={u}, x={x}")
+    delta_n = _DELTA_N.evaluate(u, x)
     gamma_n = 1.0 / u
     w2 = second_modulus(g, math.sqrt(delta_n) / 2.0, domain=domain, step=step)
     w1 = modulus(g, gamma_n, domain=domain, step=step)

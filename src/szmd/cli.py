@@ -133,12 +133,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     max_m = _check_whole(args.max_m, "--max-m")
     if not xs:
         raise ValueError(f"--xs {args.xs!r} gives no x")
-    rows = [
-        f"{x:.17g},{m},{raw_moment(args.u, x, m):.17g},"
-        f"{central_moment(args.u, x, m):.17g}"
-        for x in xs
-        for m in range(max_m + 1)
-    ]
+    rows = [f"{x:.17g},{m},{raw_moment(args.u, x, m):.17g},{central_moment(args.u, x, m):.17g}"
+            for x in xs for m in range(max_m + 1)]
     print("\n".join(["x,m,raw_moment,central_moment", *rows]))
     return 0
 

@@ -3,13 +3,13 @@
 Both are read off the generating function B(e^(st); x) = u/(u - s)
 exp(usx/(u - s)), s < u: m! times its s^m coefficient is u^-m m! L_m(-ux)
 (DLMF 18.12.13), so u^m B(t^m; x) = sum_l A_m[l] (ux)^l, A_m[l] = C(m, l)
-m!/l!, integers every closed form takes only as logs (one log-sum-exp,
-_log_moment_sum), so none has to fit a double.  Times e^(-sx) it is the
-central one, (1 - s/u)^(-1) exp(s^2 x/(u - s)): mu_m = sum_(k <= m/2) m!/k!
-C(m - k, k) x^k u^(-(m-k)), one flat map {(k, d): c} of the integer c of each
-term c x^k u^(-d), which the paper's derivative recurrence derives apart, so
-the two are compared exactly.  central_moment_bruteforce, a quadrature of
-(t - x)^m against the kernel, shares no code with these polynomials.
+m!/l!, which the operator's closed forms take only as logs (_log_moment_sum).
+Times e^(-sx) it is the central one, (1 - s/u)^(-1) exp(s^2 x/(u - s)): mu_m =
+sum_(k <= m/2) m!/k! C(m - k, k) x^k u^(-(m-k)), compared exactly with the
+paper's derivative recurrence.  Each moment, zeta^2 = x + 1/u and delta_n =
+mu_2 + 1/u^2 is one map {(k, d): c} of the terms c x^k u^(-d), which
+MomentPoly.evaluate gives exactly, correctly rounded.  central_moment_bruteforce,
+a quadrature of (t - x)^m against the kernel, shares no code with these.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .basis import _check_point, _check_whole
 
 # A polynomial sum c x^k u^(-d) as {(k, d): c}, zero coefficients left out.
 PolyXU = dict[tuple[int, int], int]
-_LN_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not hit the entry of 1 or 2
@@ -70,24 +69,14 @@ def _log_moment_sum_grid(m: int, ln_l: np.ndarray) -> np.ndarray:
     return (top + np.log(np.exp(terms - top).sum(axis=0))).reshape(ln_l.shape)
 
 
-def raw_moment(u: float, x: float, m: int) -> float:
-    """Operator applied to t^m at x, exp(ln sum_l A_m[l] (ux)^l - m ln u):
-    1, x + 1/u, (2 + 4xu + x^2 u^2)/u^2, ... for m = 0, 1, 2."""
-    _check_point(u, x)
-    m = _check_whole(m, "moment order m")
-    ln_u = math.log(u)
-    ln_value = _log_moment_sum(m, ln_u + (math.log(x) if x else -math.inf)) - m * ln_u
-    if ln_value > _LN_DBL_MAX:
-        raise OverflowError(f"B(t^{m}; x) overflows at u={u}, x={x}: ln B = {ln_value:.6g}")
-    return math.exp(ln_value)
-
-
 @dataclass(frozen=True)
-class CentralMomentPoly:
-    """Central moment of order m as an exact polynomial in x and 1/u."""
+class MomentPoly:
+    """A raw or central moment of the given order, zeta^2 or delta_n as an exact
+    polynomial in x and 1/u; refusal, {m} the order, names its value's overflow."""
 
     order: int
     coeffs: PolyXU
+    refusal: str = "central moment of order {m} overflows the double range"
 
     def evaluate(self, u: float, x: float) -> float:
         """The sum of the terms c x^k u^(-d), correctly rounded.
@@ -99,18 +88,19 @@ class CentralMomentPoly:
         _check_point(u, x)
         (p, a), (q, b) = float(x).as_integer_ratio(), float(u).as_integer_ratio()
         s, t = a.bit_length() - 1, b.bit_length() - 1
+        st, pq = s + t, p * q
         big_k, big_n, lcd, rows = self._layout
         num = 0
         for n, row in rows:
-            h = 0
-            for i, c in enumerate(row):
-                h = h * (p * q) + (c << (s + t) * i)
+            h = sh = 0
+            for c in row:
+                h = h * pq + (c << sh)
+                sh += st
             num += h * q**(big_n - n) << t * n
         try:
-            return float(num / (lcd * q**big_n << (s + t) * big_k))
+            return num / (lcd * q**big_n << st * big_k)
         except OverflowError:
-            raise OverflowError(f"central moment of order {self.order} overflows the double "
-                                f"range at u={u}, x={x}") from None
+            raise OverflowError(f"{self.refusal.format(m=self.order)} at u={u}, x={x}") from None
 
     @cached_property
     def _layout(self) -> tuple[int, int, int, tuple[tuple[int, list[int]], ...]]:
@@ -123,18 +113,18 @@ class CentralMomentPoly:
             rows[k + d][big_k - k] = int(c * lcd)
         return big_k, big_n, lcd, tuple(rows.items())
 
-    def coeff_gap(self, other: "CentralMomentPoly") -> int:
+    def coeff_gap(self, other: "MomentPoly") -> int:
         """Largest |coefficient difference| with other, exact."""
         a, b = self.coeffs, other.coeffs
         return max((abs(a.get(key, 0) - b.get(key, 0)) for key in a.keys() | b.keys()), default=0)
 
-    def same_coeffs(self, other: "CentralMomentPoly", tol: float = 0.0) -> bool:
+    def same_coeffs(self, other: "MomentPoly", tol: float = 0.0) -> bool:
         """Coefficient-wise equality: exact when tol is 0, else within tol."""
         return self.coeff_gap(other) <= tol
 
 
 @lru_cache(maxsize=None, typed=True)
-def central_moment_poly(m: int) -> CentralMomentPoly:
+def central_moment_poly(m: int) -> MomentPoly:
     """Central moment polynomial read off the central generating function.
 
     B(e^(s(t - x)); x) = (1 - s/u)^(-1) exp(s^2 x/(u - s)), and its s^m
@@ -142,8 +132,8 @@ def central_moment_poly(m: int) -> CentralMomentPoly:
     every term has k + d = m and a positive integer coefficient.
     """
     m = _check_whole(m, "moment order m")
-    return CentralMomentPoly(m, {(k, m - k): math.perm(m, m - k) * math.comb(m - k, k)
-                                 for k in range(m // 2 + 1)})
+    return MomentPoly(m, {(k, m - k): math.perm(m, m - k) * math.comb(m - k, k)
+                          for k in range(m // 2 + 1)})
 
 
 def central_moment(u: float, x: float, m: int) -> float:
@@ -151,8 +141,22 @@ def central_moment(u: float, x: float, m: int) -> float:
     return central_moment_poly(m).evaluate(u, x)
 
 
-def recurrence_step(om_prev: CentralMomentPoly | None, om_cur: CentralMomentPoly,
-                    misplace_x: bool = False) -> CentralMomentPoly:
+@lru_cache(maxsize=None, typed=True)
+def _raw_moment_poly(m: int) -> MomentPoly:
+    """B(t^m; x) = u^-m sum_l A_m[l] (ux)^l as the map {(l, m - l): A_m[l]}."""
+    m = _check_whole(m, "moment order m")
+    return MomentPoly(m, {(l, m - l): c for l, c in enumerate(raw_moment_lambda_coeffs(m))},
+                      "B(t^{m}; x) overflows")
+
+
+def raw_moment(u: float, x: float, m: int) -> float:
+    """Operator applied to t^m at x, correctly rounded like central_moment:
+    1, x + 1/u, (2 + 4xu + x^2 u^2)/u^2, ... for m = 0, 1, 2."""
+    return _raw_moment_poly(m).evaluate(u, x)
+
+
+def recurrence_step(om_prev: MomentPoly | None, om_cur: MomentPoly,
+                    misplace_x: bool = False) -> MomentPoly:
     """Next central moment from the derivative recurrence.
 
     u * M_{m+1} = x * M_m' + 2m * x * M_{m-1} + (m+1) * M_m, with M_{-1} = 0.
@@ -171,28 +175,26 @@ def recurrence_step(om_prev: CentralMomentPoly | None, om_cur: CentralMomentPoly
             acc[k + 1, d + 1] += 2 * m * c
     for (k, d), c in om_cur.coeffs.items():
         acc[k + int(misplace_x), d + 1] += (m + 1) * c
-    return CentralMomentPoly(m + 1, {kd: c for kd, c in acc.items() if c})
+    return MomentPoly(m + 1, {kd: c for kd, c in acc.items() if c})
 
 
 def central_moments_by_recurrence(max_order: int,
-                                  misplace_x: bool = False) -> list[CentralMomentPoly]:
+                                  misplace_x: bool = False) -> list[MomentPoly]:
     """All central moment polynomials up to max_order via the recurrence."""
     max_order = _check_whole(max_order, "max_order")
-    polys = [CentralMomentPoly(0, {(0, 0): 1})]
+    polys = [MomentPoly(0, {(0, 0): 1})]
     for m in range(max_order):
         polys.append(recurrence_step(polys[m - 1] if m else None, polys[m], misplace_x))
     return polys
 
 
+_ZETA_SQ = MomentPoly(1, {(1, 0): 1, (0, 1): 1}, "zeta_sq = x + 1/u overflows")
+
+
 def zeta_sq(u: float, x: float) -> float:
-    """The factor with zeta^2(x) = x + 1/u; 2*zeta_sq/u is the second
-    central moment.  Raises OverflowError where x + 1/u leaves the double
-    range, as 1/u does for u below ~5.6e-309."""
-    _check_point(u, x)
-    value = x + 1.0 / u
-    if value == math.inf:
-        raise OverflowError(f"zeta_sq = x + 1/u overflows at u={u}, x={x}")
-    return value
+    """zeta^2(x) = x + 1/u correctly rounded, u/2 times the second central
+    moment; refused where it leaves the double range, as for u below ~5.6e-309."""
+    return _ZETA_SQ.evaluate(u, x)
 
 
 def zeta(u: float, x: float) -> float:

@@ -36,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _check_point, _check_whole, _special_on_first_call, log_weights, tail_mass
-from .moments import _LN_DBL_MAX, _log_moment_sum, _log_moment_sum_grid
+from .moments import _log_moment_sum, _log_moment_sum_grid
 from .quadrature import ConvergenceFailure, DivergentIntegral, kernel_integral, log_exppoly_integrals
 from .targets import TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
 _DBL_MIN = sys.float_info.min
 _LN_TINY = math.log(_DBL_MIN * _EPS)  # the smallest subnormal
+_LN_DBL_MAX = math.log(sys.float_info.max)
 _TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
 
 
@@ -148,7 +149,8 @@ class OperatorValue:
     value to the exact operator value: the closed form of the |g|-majorant
     minus its partial sum to J, plus the rounding budgets of both, counted
     once for the majorant and once for the value, so it also covers the
-    distance to the closed form.
+    distance to the closed form.  It is inf where the majorant's closed form
+    overflows: t^2 e^(2t) at u = 1e4, x = 1e3, J = 50 gives 0.0, tail_bound inf.
 
     inner_integral_error is 0.0 for structured targets.
     """
@@ -415,17 +417,17 @@ def kernel_value(u: float, x: float, t: float) -> float:
     the kernel underflows, and DBL_MIN, absorbed exactly by any nonzero root
     sum (>= 2.2e-162), turns 0/0 at x = t = 0 into r = 0.  sqrt x sqrt t
     stays finite where xt overflows, and swapping x and t only negates r, so
-    it gives the same bits.  Where the Bessel argument z = 2u sqrt x sqrt t
-    overflows (u sqrt(xt) > ~9e307), u i0e(z) is its asymptote
-    u / sqrt(2 pi z) = sqrt(u/pi) / 2 / x^(1/4) / t^(1/4), exact to rounding
-    there and taken from u, x and t, not from z.  _kernel_values takes the
-    same steps in numpy; its exp can be an ulp off libm's, which the products
-    after it carry to at most 4 ulps, and most values agree bit for bit.
+    it gives the same bits.  z = 2(u sqrt x sqrt t) is 0 at xt = 0 even where
+    2u overflows; where z overflows (u sqrt(xt) > ~9e307), u i0e(z) is its
+    asymptote u / sqrt(2 pi z) = sqrt(u/pi) / 2 / x^(1/4) / t^(1/4), exact to
+    rounding there, taken from u, x and t.  _kernel_values takes the same
+    steps in numpy; its exp can be an ulp off libm's, which the products after
+    it carry to at most 4 ulps, and most values agree bit for bit.
     """
     _check_point(u, x, t)
     root_x, root_t = math.sqrt(x), math.sqrt(t)
     r = (x - t) / (root_x + root_t + _DBL_MIN)
-    z = 2.0 * u * (root_x * root_t)
+    z = 2.0 * (u * (root_x * root_t))
     if z < math.inf:
         return u * math.exp(-u * r * r) * float(i0e(z))
     u_i0e = math.sqrt(u / math.pi) / 2.0 / math.sqrt(root_x) / math.sqrt(root_t)
@@ -439,7 +441,7 @@ def _kernel_values(u, x, t: np.ndarray) -> np.ndarray:
     np.errstate, as kernel_integral does)."""
     root_x, root_t = np.sqrt(x), np.sqrt(t)
     r = (x - t) / (root_x + root_t + _DBL_MIN)
-    z = 2.0 * u * (root_x * root_t)
+    z = 2.0 * (u * (root_x * root_t))
     e = np.exp(-u * r * r)
     k = u * e * i0e(z)
     over = z == np.inf

@@ -345,7 +345,7 @@ def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
     """Execute the library's cross-checks and return one verdict per check.
 
     tables: "none", "spot" (strict 4-cell subset), or "full" (all 147
-    reference cells; the whole suite then takes 7.1 ms in process, the median
+    reference cells; the whole suite then takes 6.7 ms in process, the median
     of 60 runs on a 2-vCPU host under Python 3.11).  A check passes when the
     worst of its samples is within tolerance, so a NaN sample fails it;
     recurrence-misplacement-detected, lip-space-bound-monotone and

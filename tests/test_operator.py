@@ -375,10 +375,17 @@ class TestKernel:
         (10.0, 1.0, 1e160, 0.0),
         # u e^{-u(x+t)} I_0(0) with u(x+t) = 1e-140: the kernel is u
         (1e-300, 0.0, 1e160, 1e-300),
+        # u e^{-ut} at x = 0, where 2u overflows: inf * 0 made the Bessel
+        # argument NaN, and the scalar form raised ZeroDivisionError
+        (1e308, 0.0, 0.0, 1e308), (1e308, 0.0, 1.0, 0.0),
+        (1.7e308, 0.0, 0.0, 1.7e308), (1.7e308, 0.0, 1.0, 0.0),
     ])
     def test_far_apart_points(self, u, near, far, want):
         # (x - t)^2 overflows a double once |x - t| > ~1.3e154
         assert kernel_value(u, near, far) == kernel_value(u, far, near) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernel_values(u, near, np.array([far]))[0] == want
 
     def test_array_form_far_apart_points(self):
         # the array form's exponent does not square x - t either

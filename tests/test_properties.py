@@ -1,5 +1,5 @@
 """Properties of the operator, its kernel and the kernel CDF over random
-exp-poly targets and regimes, and of the central moments over the double range.
+exp-poly targets and regimes, and of the moment maps over the double range.
 
 Values are checked against references (reference.py) that do not share the
 closed form under test: the series as a Kummer function and term by term, the
@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from szmd.moments import central_moment
+from szmd.bounds import kfunctional_bound
+from szmd.moments import central_moment, raw_moment, zeta_sq
 from szmd.operator import (
     OperatorOverflow,
     _closed_form,
@@ -405,21 +406,39 @@ def test_parse_target_returns_the_rendered_terms(case):
 
 
 # ---------------------------------------------------------------------------
-# the central moments
+# the moment maps
 
 
+@pytest.mark.parametrize("moment, exact, refusal", [
+    (central_moment, reference.exact_central_moment,
+     "central moment of order {m} overflows the double range"),
+    (raw_moment, reference.exact_raw_moment, "B(t^{m}; x) overflows"),
+], ids=["central_moment", "raw_moment"])
 @settings(max_examples=200)
 @given(log_uniform(1e-320, 1e308), st.one_of(st.just(0.0), log_uniform(1e-320, 1e308)),
        st.integers(0, 40))
-def test_central_moment_is_the_exact_value_correctly_rounded(u, x, m):
+def test_moment_is_the_exact_value_correctly_rounded(moment, exact, refusal, u, x, m):
     # bit for bit the float of the exact rational, and refused exactly where
-    # that float overflows; the float sum of the terms refused finite values
-    # (a power of u or x overflowing alone) and was off in its last bits
-    want = reference.exact_central_moment(u, x, m)
+    # that float overflows; the float sum of the central terms refused finite
+    # values (a power of u or x overflowing alone), and the raw log-sum-exp
+    # was off in its last bits
+    want = exact(u, x, m)
     try:
         want = float(want)
     except OverflowError:
-        with pytest.raises(OverflowError, match=re.escape(f"order {m} overflows the double range")):
-            central_moment(u, x, m)
+        with pytest.raises(OverflowError, match=re.escape(refusal.format(m=m) + f" at u={u}")):
+            moment(u, x, m)
     else:
-        assert central_moment(u, x, m) == want
+        assert moment(u, x, m) == want
+
+
+@pytest.mark.parametrize("u, x", [(2.3, 1.4), (9.9, 0.1), (8.3, 2.4), (230.2, 0.6)])
+def test_zeta_sq_and_delta_n_are_the_exact_values_correctly_rounded(u, x):
+    # x + 1/u = u mu_2/2 and delta_n = mu_2 + 1/u^2, each one rounding of the
+    # exact rational; as sums of rounded floats, the first two points' zeta_sq
+    # and the last two points' delta_n were an ulp off
+    mu_2, inv_u = reference.exact_central_moment(u, x, 2), 1 / Fraction(u)
+    assert zeta_sq(u, x) == float(mu_2 / (2 * inv_u))
+    res = kfunctional_bound(BUILTIN_TARGETS["expneg"], u, x, domain=(0.0, 5.0),
+                            step=1.0 / (16.0 * u))
+    assert res.delta_n == float(mu_2 + inv_u**2)

@@ -84,8 +84,11 @@ def modulus(g, delta: float, domain=None, step=None) -> ModulusEstimate:
 
 
 def second_modulus(g, delta: float, domain=None, step=None) -> ModulusEstimate:
-    """Second modulus: sup |g(x+h) - 2g(x) + g(x-h)| over 0 <= h <= delta."""
+    """Second modulus: sup |g(x+h) - 2g(x) + g(x-h)| over 0 <= h <= delta, x +- h in the domain."""
     ts, step, dom, shifts = _modulus_grid(delta, domain, step)
+    shifts = min(shifts, (len(ts) - 1) // 2)
+    if not shifts:
+        raise ValueError(f"second modulus at delta={delta}: no shift fits in the domain {dom}")
     vals = _grid_values(g, ts)
     best = 0.0
     for k in range(1, shifts + 1):

@@ -251,11 +251,11 @@ def central_moment_bruteforce(u, x, m):
     orders = np.array([_check_whole(k, "moment order m") for k in (m if np.ndim(m) else [m])],
                       dtype=np.intp).reshape(np.shape(m))
 
-    def columns(t, xn):  # products: pow would be a libm call per node and order
-        d, powers = t - xn, [np.ones_like(t)]
+    def columns(d, _x):  # products: pow would be a libm call per node and order
+        powers = [np.ones_like(d)]
         for _ in range(orders.max(initial=0)):
             powers.append(powers[-1] * d)
-        return np.stack(powers, axis=-1)[..., orders]
+        return np.stack(powers)[orders]
 
     value, _ = window_integral(u, x, columns)
     return value if value.ndim else float(value)

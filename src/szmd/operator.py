@@ -6,21 +6,18 @@ weights over j gives every exp-poly term the closed form
 
     B(t^m e^{at}; x) = u (u-a)^{-(m+1)} e^{uax/(u-a)} sum_l A_m[l] L^l,
 
-with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), so structured
-targets never sum the series.  The sum is taken in log space from ln L
-(moments._log_moment_sum), so every power and u give a value where it is
-finite.  apply takes it at one point with math (_closed_form), with its
-rounding budget; a grid of (u, x) points, such as every u series of
-make_curves at once, takes its array twin (_closed_form_grid), values only,
-in one numpy call, which costs more than the scalar form at one point and
-far less on a grid.  The same sum is the kernel integral
-B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j s_{u,j}(x) s_{u,j}(t),
-whose Bessel closed form lets a black box be integrated against it by one
-adaptive quadrature; the quadrature takes the kernel in an array form
-(_kernel_values), so a round is one array call for a whole grid.  The
-series is summed only for the fixed-J truncation study.  Every value ships
-with a bound on what its evaluation neglected or rounded.  The kernel's
-distribution function has a noncentral chi-square closed form.
+with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), taken in log
+space from ln L (moments._log_moment_sum), so every power and u give a value
+where it is finite: at one point with math and its rounding budget
+(_closed_form), on a grid of (u, x) in one numpy call (_closed_form_grid).
+The same sum is B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j
+s_{u,j}(x) s_{u,j}(t), whose Bessel form is a bump in s = sqrt t - sqrt x
+of width 1/sqrt(2u) for every x; a black box is integrated against it in s
+by one adaptive quadrature, whose array kernel (_kernel_values) makes a
+round one array call for a whole grid.  The series is summed only for the
+fixed-J truncation study.  Every value ships with a bound on what its
+evaluation neglected or rounded.  The kernel's distribution function has a
+noncentral chi-square closed form.
 
 i0e and chndtr are bound on first call (basis._special_on_first_call): only
 the kernel, its array form and its CDF use scipy.special, so apply on a
@@ -44,7 +41,6 @@ _EPS = sys.float_info.epsilon
 _DBL_MIN = sys.float_info.min
 _LN_TINY = math.log(_DBL_MIN * _EPS)  # the smallest subnormal
 _LN_DBL_MAX = math.log(sys.float_info.max)
-_TILT_CUT = 50.0  # e-folds of the tilted kernel kept past its mode
 
 
 chndtr, i0e = _special_on_first_call(globals(), "chndtr", "i0e")
@@ -141,7 +137,8 @@ class OperatorValue:
     0.0.  For a structured target tail_bound is the rounding budget of the
     log-space closed form (see _closed_form), never 0 for a nonzero value;
     for a black box it is 0.0 and inner_integral_error is the error
-    estimate of its kernel integral.
+    estimate of its kernel integral, which covers the rounding of the
+    argument t the black box is handed (quadrature._gk21's floor).
 
     apply_truncated (structured targets only): series_terms_used = J + 1 and
     tail_mass is the Poisson weight mass beyond J, which can be large when J
@@ -263,12 +260,12 @@ def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float,
     and the pairwise sum log2(J + 1).
     """
     j = np.arange(0.0, j_last + 1.0)
-    lw = log_weights(u, x, j)
-    live = np.isfinite(lw)  # drops underflowed weights, and every j > 0 at x = 0
-    j, lw = j[live], lw[live]
-    slack = 2.0 * (np.abs(lw) + j + u * x)
     value = majorant = budget = 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # apply_truncated refuses what is not finite
+        lw = log_weights(u, x, j)
+        live = np.isfinite(lw)  # drops underflowed weights, and every j > 0 at x = 0
+        j, lw = j[live], lw[live]
+        slack = 2.0 * (np.abs(lw) + j + u * x)
         for c, m, a in terms:
             lint = log_exppoly_integrals(u, m, a, j)
             t = np.exp(lw + lint)
@@ -283,37 +280,32 @@ def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float,
 
 
 def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float, list[float]]:
-    """Range [lo, hi] and break points for the integral of K(x,t) g(t).
-
-    K(x,t) <= u e^{-u(sqrt t - sqrt x)^2} because i0e <= 1, so below lo
-    (< x) the kernel is under the smallest subnormal, where a target with
-    |g| <= C e^{at} is at most C e^{max(a, 0) x}.  With c = x (u/(u-a))^2,
-    taken so that u^2 cannot underflow to 0/0 at u < 1e-162, the tilted
-    kernel is
-    K(x,t) e^{at} = u e^{uax/(u-a)} e^{-(u-a)(sqrt t - sqrt c)^2} i0e(2u sqrt(xt)),
-    and past hi, where (u-a)(sqrt t - sqrt c)^2 = 50, it carries at most
-    e^{-50} (1 + sqrt(L/50)), L = u^2 x/(u-a), of its total mass
-    B(e^{at}; x) (4e-20 at u = 1e6, x = 2.5).  The tilt's underflow would
-    reach t where g overflows: at u = 2.5, x = 1, t^2 e^{2t} overflows at
-    t = 349, its mass lies near c = 25, and e^{-745} of its peak is at
-    t = 1900.  The break points are x, c, c +- 12 sqrt((c + 1/u)/(u-a)) and
-    the declared kinks; a is the target's declared growth rate.
-    """
-    d = u - a
-    lo = max(math.sqrt(x) - math.sqrt((math.log(u) - _LN_TINY) / u), 0.0) ** 2
-    c = x * (u / d) ** 2
-    hi = max((math.sqrt(c) + math.sqrt(_TILT_CUT / d)) ** 2, lo)
-    w = 12.0 * math.sqrt((c + 1.0 / u) / d)
-    points = sorted({p for p in (x, c, c - w, c + w, *kinks) if lo < p < hi})
-    return lo, hi, points
+    """Range [lo, hi] and break points of s = sqrt t - sqrt x for the integral
+    of K(x,t) g(t), g of growth rate a.  K(x,t) <= u e^{-u s^2} as i0e <= 1,
+    so below lo the kernel is under the smallest subnormal, where |g| <= C
+    e^{at} is at most C e^{max(a, 0) x}.  With d = u - a, K(x,t) e^{at} =
+    u e^{uax/d} e^{-d (s - tau)^2} i0e(2u sqrt(xt)), a bump of deviation
+    w = 1/sqrt(2d) about tau = sqrt x a/d = sqrt c - sqrt x, c = x (u/d)^2 the
+    tilted mode; past hi = tau + 10 w it keeps at most e^{-50} (1 + sqrt(L/50)),
+    L = u^2 x/d, of its mass B(e^{at}; x), before g can overflow (at u = 2.5,
+    x = 1, t^2 e^{2t} overflows at t = 349; its mass lies near c = 25).  The
+    break points are 0, tau + (-10, -6, -3, 0, 3, 6) w, pieces of the bump
+    that one rule resolves, and sqrt k - sqrt x for each kink k."""
+    d, root_x = u - a, math.sqrt(x)
+    tau, w = root_x * a / d, 1.0 / math.sqrt(2.0 * d)
+    lo = max(-root_x, -math.sqrt((math.log(u) - _LN_TINY) / u))
+    hi = max(tau + 10.0 * w, lo)
+    points = (0.0, *(tau + k * w for k in (-10.0, -6.0, -3.0, 0.0, 3.0, 6.0)),
+              *(math.sqrt(k) - root_x for k in kinks if k > 0.0))
+    return lo, hi, sorted({p for p in points if lo < p < hi})
 
 
 def window_integral(u, x, g, rate: float = 0.0, kinks=()):
-    """Integrals of K(x, t) g(t, x) and their error estimates at the points of
-    the broadcast u and x, over the windows of a target of growth rate `rate`
-    with break points `kinks`: one batched kernel_integral, shaped like the
-    broadcast (plus k when g returns k columns).  Raises OperatorOverflow
-    when g or an integral overflows."""
+    """Integrals of K(x, t) g(t - x, x) dt, taken in s = sqrt t - sqrt x, and
+    their error estimates at the points of the broadcast u and x, over the
+    windows of a target of growth rate `rate` with break points `kinks`: one
+    batched kernel_integral, shaped like the broadcast (plus k when g returns
+    k columns).  Raises OperatorOverflow when g or an integral overflows."""
     u, x = np.broadcast_arrays(u, x) if np.shape(u) != np.shape(x) else map(np.asarray, (u, x))
     windows = [_blackbox_window(ui, xi, rate, kinks)
                for ui, xi in zip(u.ravel().tolist(), x.ravel().tolist())]
@@ -343,7 +335,7 @@ def _apply_grid(g: TargetFunction, u, xs: np.ndarray) -> np.ndarray:
         _check_domain(g, v, float(refused[0]) if refused.size else 0.0)
     terms = exppoly_terms(g)
     if terms is None:
-        return window_integral(u, xs, lambda t, _: g(t), g.growth_rate, g.kinks)[0]
+        return window_integral(u, xs, lambda d, x: g(x + d), g.growth_rate, g.kinks)[0]
     return _closed_form_grid(u, xs, terms)
 
 
@@ -361,8 +353,8 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     _check_domain(g, u, x)
     terms = exppoly_terms(g)
     if terms is None:
-        value, inner_err = map(float, window_integral(u, x, lambda t, _: g(t), g.growth_rate,
-                                                      g.kinks))
+        value, inner_err = map(float, window_integral(u, x, lambda d, xs: g(xs + d),
+                                                      g.growth_rate, g.kinks))
         budget = 0.0
     else:
         value, budget = _closed_form(u, x, terms)
@@ -391,13 +383,15 @@ def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> Operat
     The series of a structured target is summed with exact inner integrals;
     a black box, or a J that is not a whole number >= 0, is refused with
     ValueError.  tail_mass reports the actual neglected Poisson mass, which
-    can be large when j_max sits below the mode ux.
+    can be large when j_max sits below the mode ux.  Raises OperatorOverflow
+    when ux, the partial sum or its rounding budget leaves the double range.
     """
     _check_domain(g, u, x)
     terms, j_max = _check_truncation(g, j_max)
     value, majorant, budget = _partial_sums(u, x, terms, j_max)
-    if not math.isfinite(value):
-        raise OperatorOverflow(f"partial sum to J={j_max} is not finite: {value}")
+    if not (math.isfinite(value) and math.isfinite(budget) and u * x < math.inf):
+        raise OperatorOverflow(f"partial sum to J={j_max} is not finite at u={u}, x={x}: "
+                               f"{value}, rounding budget {budget}, ux = {u * x}")
     # the |g|-majorant's closed form minus its partial sum, plus both
     # rounding budgets counted twice (majorant and value)
     try:
@@ -420,9 +414,7 @@ def kernel_value(u: float, x: float, t: float) -> float:
     it gives the same bits.  z = 2(u sqrt x sqrt t) is 0 at xt = 0 even where
     2u overflows; where z overflows (u sqrt(xt) > ~9e307), u i0e(z) is its
     asymptote u / sqrt(2 pi z) = sqrt(u/pi) / 2 / x^(1/4) / t^(1/4), exact to
-    rounding there, taken from u, x and t.  _kernel_values takes the same
-    steps in numpy; its exp can be an ulp off libm's, which the products after
-    it carry to at most 4 ulps, and most values agree bit for bit.
+    rounding there, taken from u, x and t.  Black boxes take _kernel_values.
     """
     _check_point(u, x, t)
     root_x, root_t = math.sqrt(x), math.sqrt(t)
@@ -434,21 +426,21 @@ def kernel_value(u: float, x: float, t: float) -> float:
     return math.exp(-u * r * r) * u_i0e
 
 
-def _kernel_values(u, x, t: np.ndarray) -> np.ndarray:
-    """kernel_value at nodes t >= 0, u and x one value or one per node, by its
-    one exponent u r^2 and its asymptote where z overflows, in numpy; u r can
-    overflow only for u above ~1e154, where the kernel is 0 (call under
-    np.errstate, as kernel_integral does)."""
-    root_x, root_t = np.sqrt(x), np.sqrt(t)
-    r = (x - t) / (root_x + root_t + _DBL_MIN)
+def _kernel_values(u, root_x, s: np.ndarray) -> np.ndarray:
+    """K(x,t) dt/ds = 2 (sqrt x + s) u e^{-u s^2} i0e(2u sqrt x (sqrt x + s)) at
+    s = sqrt t - sqrt x >= -sqrt x, in numpy, with kernel_value's asymptote
+    where the Bessel argument overflows: the exponent takes s, not a rounded
+    t.  u s can overflow only for u above ~1e154, where the kernel is 0 (call
+    under np.errstate, as kernel_integral does)."""
+    root_t = root_x + s
     z = 2.0 * (u * (root_x * root_t))
-    e = np.exp(-u * r * r)
+    e = np.exp(-u * s * s)
     k = u * e * i0e(z)
     over = z == np.inf
     if over.any():
         u_i0e = np.sqrt(u / np.pi) / 2.0 / np.sqrt(root_x) / np.sqrt(root_t)
         k = np.where(over, e * u_i0e, k)
-    return k
+    return k * (2.0 * root_t)
 
 
 def kernel_cdf(u: float, x: float, y: float) -> float:

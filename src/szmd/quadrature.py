@@ -3,8 +3,8 @@
 Exp-poly targets have gamma-function closed forms for their integrals
 against the basis (log_exppoly_integrals).  Black boxes are integrated
 against the operator's kernel by one adaptive Gauss-Kronrod quadrature
-(kernel_integral) that evaluates them on every node of a batch of (u, x)
-points in one array call per refinement round.
+(kernel_integral) in the offset s = sqrt t - sqrt x, which evaluates them on
+every node of a batch of (u, x) points in one array call per refinement round.
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ _WG[1::2] = (
 _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])[:, None]
 _GAUSS = np.concatenate([_WG, _WG[-2::-1]])[:, None]
+_GAP = np.diff(_NODES)
 
 
 class DivergentIntegral(ValueError):
@@ -87,23 +88,27 @@ def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarr
 
 
 def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Kronrod value, error estimate and rounding floor of kernel(u, x, t) g(t, x)
-    on each [a_i, b_i] of the point (u_i, x_i), with QUADPACK qk21's error
-    heuristic: arrays of shape (n,), or (k, n) for a target with k columns.
-    Each rule sum is one stacked product of every 1 x 21 row of node values
-    with the 21 x 1 weights: a dot product per row, whose bits do not depend
-    on where the row sits, so a subinterval rounds as it would alone.  Raises
-    ConvergenceFailure at the first node where the target is not finite."""
+    """Kronrod value, error estimate and rounding floor of kernel g over each
+    [a_i, b_i] of s = sqrt t - sqrt x at the point (u_i, x_i), with QUADPACK
+    qk21's error heuristic: arrays of shape (n,), or (k, n) for k columns.
+    kernel takes u, sqrt x and the n x 21 nodes s; g takes t - x = s (2 sqrt x
+    + s) and x, and gives n x 21 or k x n x 21 values.  A rule sum is a dot
+    product per row, whose bits do not depend on where the row sits.  The
+    floor adds to the rule's rounding g's slope between neighbouring nodes
+    times its argument's rounding, up to 2 eps_mach (sqrt x + |s|) in s.
+    Raises ConvergenceFailure at the first node where g is not finite."""
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    t = (centre[:, None] + half[:, None] * _NODES).ravel()
-    un, xn = u.repeat(len(_NODES)), x.repeat(len(_NODES))
-    gt = np.asarray(g(t, xn), dtype=np.float64)
+    s = centre[:, None] + half[:, None] * _NODES
+    root = np.sqrt(x)[:, None]
+    d = s * (2.0 * root + s)
+    gt = np.asarray(g(d, x[:, None]), dtype=np.float64)
     if not np.isfinite(gt).all():
-        i = int(np.argmin(np.isfinite(gt).reshape(len(t), -1).all(axis=1)))
-        raise ConvergenceFailure(
-            f"target is not finite at t={t[i]} (u={un[i]}, x={xn[i]}): {gt[i]}"
-        )
-    f = (kernel(un, xn, t) * gt.T).reshape(gt.shape[1:] + (len(a), 1, len(_NODES)))
+        i = int(np.argmin(np.isfinite(gt).reshape(-1, s.size).all(axis=0)))
+        p = i // len(_NODES)  # the subinterval, hence the point, of node i
+        raise ConvergenceFailure(f"target is not finite at t={x[p] + d.flat[i]} "
+                                 f"(u={u[p]}, x={x[p]}): {gt.reshape(-1, s.size)[:, i]}")
+    k = kernel(u[:, None], root, s)
+    f = (k * gt)[..., None, :]
 
     def rule(values, weights):
         return (values @ weights)[..., 0, 0]
@@ -114,16 +119,19 @@ def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray)
     error = np.abs(resk - rule(f, _GAUSS)) * half
     error = np.where((resasc != 0.0) & (error != 0.0),
                      resasc * np.minimum(1.0, (200.0 * error / resasc) ** 1.5), error)
-    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    # each node's weight times twice its mean slope (half cancels the gap's)
+    kw = k * _KRONROD[:, 0]
+    slope = np.sum(np.abs(gt[..., 1:] - gt[..., :-1]) * ((kw[:, :-1] + kw[:, 1:]) / _GAP), axis=-1)
+    floor = (np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+             + _EPS * (root[:, 0] + np.maximum(np.abs(a), np.abs(b))) * slope)
     return resk * half, np.maximum(error, floor), floor
 
 
 def kernel_integral(kernel, g, u, x, windows):
-    """Integrals of kernel(u, x, t) g(t, x) at a batch of points (u[i], x[i]),
-    each over its window windows[i] = (lo, hi, break points), and their
-    error estimates.  kernel and g take nodes with each node's u and x; g
-    returns one value per node, or k columns (results of shape (P, k)) that
-    share the subintervals and are each refined and refused as if alone.
+    """Integrals of kernel g ds, as _gk21 calls them, and their error estimates
+    at a batch of points (u[i], x[i]), each over its window windows[i] = (lo,
+    hi, break points) of s; k columns of g (results of shape (P, k)) share the
+    subintervals and each refine and refuse as if alone.
 
     Adaptive 21-point Gauss-Kronrod quadrature from the pieces the break
     points cut each window into.  Each round bisects, in one _gk21 call,

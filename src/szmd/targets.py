@@ -75,9 +75,9 @@ class BlackBox:
 
 
 def map_scalar(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
-    """fn at each entry of the 1-d array t, one Python call per entry: the
-    one place a callable that only takes scalars meets an array of nodes."""
-    return np.fromiter(map(fn, t.tolist()), dtype=np.float64, count=t.size)
+    """fn at each entry of the array t, one Python call per entry: the one
+    place a callable that only takes scalars meets an array of nodes."""
+    return np.fromiter(map(fn, t.ravel().tolist()), dtype=np.float64, count=t.size).reshape(t.shape)
 
 
 def MonomialSum(terms) -> ExpPolySum:

@@ -84,13 +84,51 @@ def partial_sum_oracle(terms, u, x, j_max):
         return value
 
 
+def _kernel_at(u, root_x, s):
+    """u e^{-u s^2} I_0(z) e^{-z}, z = 2u sqrt x (sqrt x + s): the kernel at
+    t = (sqrt x + s)^2, for mpf u, root_x = sqrt x and s.  The exponent
+    -u(x + t) + z is -u s^2, so nothing cancels however large u x is."""
+    z = 2 * u * root_x * (root_x + s)
+    return u * mp.exp(-u * s * s) * mp.besseli(0, z) * mp.exp(-z)
+
+
 def kernel(u, x, t):
-    """u e^{-u(x+t)} I_0(2u sqrt(xt)) (DLMF 10.25.2) at 40 digits, which hold
-    xt and u(x + t) exactly at x = t, so the two exponents cancel however
-    large."""
+    """u e^{-u(x+t)} I_0(2u sqrt(xt)) (DLMF 10.25.2) at 40 digits, with
+    s = sqrt t - sqrt x taken as (t - x)/(sqrt t + sqrt x), so it keeps its
+    digits where t and x agree in theirs."""
     with mp.workdps(40):
         u, x, t = mp.mpf(u), mp.mpf(x), mp.mpf(t)
-        return +(u * mp.besseli(0, 2 * u * mp.sqrt(x * t)) * mp.exp(-u * (x + t)))
+        s = (t - x) / (mp.sqrt(t) + mp.sqrt(x)) if t != x else mp.mpf(0)
+        return +_kernel_at(u, mp.sqrt(x), s)
+
+
+def kernel_offset(u, root_x, s):
+    """K(x,t) dt/ds = 2 (sqrt x + s) K(x, (sqrt x + s)^2) at 40 digits: the
+    kernel in the offset s = sqrt t - sqrt x, at the doubles root_x = sqrt x
+    and s exactly."""
+    with mp.workdps(40):
+        u, root_x, s = mp.mpf(u), mp.mpf(root_x), mp.mpf(s)
+        return +(2 * (root_x + s) * _kernel_at(u, root_x, s))
+
+
+def kernel_quad(u, x, f=None, y=None, kinks=(), dps=20):
+    """int_0^y K(x,t) f(t) dt, y = inf and f = 1 unless given, by mpmath
+    quadrature in the offset s = sqrt t - sqrt x, split at 0 and +-6 and
+    +-12 widths 1/sqrt(2u) of the kernel's bump about it, and at each kink.
+    It uses neither scipy nor the library's quadrature, so it checks
+    kernel_cdf (y given) and black-box integrals (f given) from outside."""
+    with mp.workdps(dps):
+        u, root_x = mp.mpf(u), mp.sqrt(mp.mpf(x))
+        end = mp.inf if y is None else mp.sqrt(mp.mpf(y)) - root_x
+        width = 1 / mp.sqrt(2 * u)
+        cuts = [k * width for k in (-12, -6, 0, 6, 12)] + [mp.sqrt(k) - root_x for k in kinks]
+        nodes = [-root_x, *sorted(c for c in cuts if -root_x < c < end), end]
+
+        def integrand(s):
+            value = 2 * (root_x + s) * _kernel_at(u, root_x, s)
+            return value if f is None else value * f((root_x + s) ** 2)
+
+        return mp.quad(integrand, nodes)
 
 
 def cdf_series(u, x, y):

@@ -131,6 +131,19 @@ class TestSecondModulus:
                 w2 = second_modulus(g, d, domain=(0.0, 4.0), step=d / 64.0).value
                 assert w2 <= 2.0 * w1 + 1e-12
 
+    def test_delta_past_the_domain_takes_the_shifts_that_fit(self):
+        # 2 delta = 1.2 exceeds the width 0.5: every shift past h = 0.25 gave
+        # an empty array and numpy's "zero-size array" ValueError; the modulus
+        # then equals the one at delta = 0.25, where the last shift fits
+        est = second_modulus(np.cos, 0.6, domain=(0.0, 0.5), step=0.01)
+        assert est.value == second_modulus(np.cos, 0.25, domain=(0.0, 0.5), step=0.01).value > 0.0
+        assert math.isfinite(kfunctional_bound(EXPNEG, 2.3, 1.4, domain=(0.0, 0.5)).omega2_component)
+
+    def test_domain_with_no_room_for_one_shift_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "second modulus at delta=0.08: no shift fits in the domain (0.0, 0.01)")):
+            second_modulus(np.cos, 0.08, domain=(0.0, 0.01), step=0.01)
+
 
 class TestKFunctionalBound:
     def test_constant_target(self):

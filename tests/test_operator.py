@@ -274,8 +274,8 @@ class TestOverflow:
     def test_two_column_overflow_is_refused(self, columns):
         # the kernel integral under apply, with a two-column target: the
         # refusal above holds when only one column overflows
-        def g(t, x):
-            return np.tile(columns, (len(t), 1))
+        def g(d, x):
+            return np.multiply.outer(columns, np.ones_like(d))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -283,6 +283,16 @@ class TestOverflow:
                                match=r"kernel integral is not finite at u=100.0, x=1.0"):
                 kernel_integral(_kernel_values, g, [100.0], [1.0],
                                 [operator._blackbox_window(100.0, 1.0, 0.0, ())])
+
+    @pytest.mark.parametrize("u, x", [(1e308, 1.0), (5e307, 1.0), (1e308, 2.5), (1e308, 1e3),
+                                      (1e200, 1e200)])
+    def test_series_past_the_double_range_is_typed(self, u, x):
+        # u x or the rounding budget's parts u x + |ln s_j| overflowed: a NaN
+        # tail_bound, or a log of 0 in the Poisson weights, with warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflow, match=re.escape(f"J=50 is not finite at u={u}, x={x}:")):
+                apply_truncated(X2E2X, u, x, 50)
 
     def test_majorant_overflow_leaves_an_infinite_tail_bound(self):
         op = apply_truncated(X2E2X, 3.0, 300.0, 10)
@@ -356,15 +366,21 @@ class TestApplyTruncated:
         assert type(op.series_terms_used) is int and op.series_terms_used == 4
 
 
+def _offset(x, t):
+    """sqrt t - sqrt x: the node of the array form at t."""
+    return math.sqrt(t) - math.sqrt(x)
+
+
 class TestKernel:
     def test_origin_value(self):
         np.testing.assert_allclose(kernel_value(10.0, 0.0, 0.0), 10.0, rtol=1e-15)
-        # the array form takes the same limit at x = t = 0, without a warning
+        # the array form at x = 0 is 2s u e^{-u s^2}, 0 at s = 0, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = _kernel_values(10.0, 0.0, np.array([0.0, 0.0, 0.5]))
-        assert values[0] == values[1] == 10.0
-        assert values[2] == kernel_value(10.0, 0.0, 0.5)
+            values = _kernel_values(10.0, 0.0, np.array([0.0, 0.0, math.sqrt(0.5)]))
+        assert values[0] == values[1] == 0.0
+        want = float(reference.kernel_offset(10.0, 0.0, math.sqrt(0.5)))
+        np.testing.assert_allclose(values[2], want, rtol=4 * sys.float_info.epsilon)
 
     def test_symmetry(self):
         a = kernel_value(10.0, 1.0, 2.0)
@@ -381,17 +397,31 @@ class TestKernel:
         (1.7e308, 0.0, 0.0, 1.7e308), (1.7e308, 0.0, 1.0, 0.0),
     ])
     def test_far_apart_points(self, u, near, far, want):
-        # (x - t)^2 overflows a double once |x - t| > ~1.3e154
+        # (x - t)^2 overflows a double once |x - t| > ~1.3e154; the array
+        # form, times dt/ds = 2 sqrt t, at the offset of far from near
         assert kernel_value(u, near, far) == kernel_value(u, far, near) == want
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _kernel_values(u, near, np.array([far]))[0] == want
+            got = _kernel_values(u, math.sqrt(near), np.array([_offset(near, far)]))[0]
+        assert got == want * (2.0 * math.sqrt(far))
 
-    def test_array_form_far_apart_points(self):
-        # the array form's exponent does not square x - t either
+    @pytest.mark.parametrize("u", [1e308, 1.7e308])
+    def test_array_form_at_the_origin_where_2u_overflows(self, u):
+        # 2 s u e^{-u s^2} at x = 0, near its peak and far past it: the Bessel
+        # argument is 0 however large u is
+        nodes = np.array([1e-154, 0.5e-154, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _kernel_values(1e-300, 0.0, np.array([1e160]))[0] == 1e-300
+            values = _kernel_values(u, 0.0, nodes)
+        want = [float(reference.kernel_offset(u, 0.0, s)) for s in nodes[:2]]
+        np.testing.assert_allclose(values[:2], want, rtol=1e-14)
+        assert values[2] == 0.0
+
+    def test_array_form_far_apart_points(self):
+        # the array form's exponent is u s^2, and u s cannot overflow here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernel_values(1e-300, 0.0, np.array([1e80]))[0] == 1e-300 * 2e80
 
     @pytest.mark.parametrize("u, x", [(1.0, 1e160), (1e6, 1e300)])
     def test_points_whose_product_overflows(self, u, x):
@@ -399,20 +429,25 @@ class TestKernel:
         want = float(reference.kernel(u, x, x))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = (kernel_value(u, x, x), float(_kernel_values(u, x, np.array([x]))[0]))
+            got = kernel_value(u, x, x)
+            array = float(_kernel_values(u, math.sqrt(x), np.array([0.0]))[0])
         np.testing.assert_allclose(got, want, rtol=1e-13)
+        want = float(reference.kernel_offset(u, math.sqrt(x), 0.0))
+        np.testing.assert_allclose(array, want, rtol=1e-13)
 
     @pytest.mark.parametrize("u, x, want", [(1.0, 1e308, 2.82e-155), (1e8, 1e300, 2.82e-147)])
     def test_points_whose_bessel_argument_overflows(self, u, x, want):
         # 2u sqrt x sqrt t is beyond the double range, where i0e(inf) reads 0
         ref = float(reference.kernel(u, x, x))
         np.testing.assert_allclose(ref, want, rtol=1e-3)
-        # the array form mixes such a node with a node of finite argument
+        assert kernel_value(u, x, x) == pytest.approx(ref, rel=1e-13)
+        # the array form mixes such a node with a node of finite argument,
+        # at t = x/4
         with np.errstate(over="ignore"):
-            values = _kernel_values(u, x, np.array([x, 1.0]))
-        got = (kernel_value(u, x, x), float(values[0]))
-        np.testing.assert_allclose(got, ref, rtol=1e-13)
-        assert values[1] == kernel_value(u, x, 1.0) == 0.0
+            values = _kernel_values(u, math.sqrt(x), np.array([0.0, -0.5 * math.sqrt(x)]))
+        want = float(reference.kernel_offset(u, math.sqrt(x), 0.0))
+        np.testing.assert_allclose(values[0], want, rtol=1e-13)
+        assert values[1] == kernel_value(u, x, x / 4.0) == 0.0
 
     def test_integrates_to_one(self):
         with warnings.catch_warnings():

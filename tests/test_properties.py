@@ -30,6 +30,7 @@ from szmd.operator import (
     kernel_cdf,
     kernel_value,
 )
+from szmd.quadrature import ConvergenceFailure
 from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum, parse_target
 import reference
 
@@ -238,12 +239,9 @@ def test_partial_sum_far_past_the_mode_matches(case):
     assert abs(full.value - trunc.value) <= trunc.tail_bound
 
 
-@settings(max_examples=30)
-@given(regimes())
-def test_blackbox_matches_the_closed_form(case):
-    # the kernel integral of a wrapped exp-poly target against the closed
-    # form, within 1e-12 of the |g|-majorant sum_k |c_k| B_k
-    terms, u, x = case
+def blackbox_of(terms):
+    """The exp-poly sum as a BlackBox of its growth rate, whose overflow is an
+    OverflowError, as a black box's math.exp would raise."""
     g = ExpPolySum(terms)
 
     def fn(t):
@@ -253,13 +251,86 @@ def test_blackbox_matches_the_closed_form(case):
             except FloatingPointError:
                 raise OverflowError(f"target overflows at t={t}") from None
 
-    box = BlackBox(fn, g.growth_rate)
+    return BlackBox(fn, g.growth_rate)
+
+
+def assert_within_own_estimate(op, want):
+    """|value - want| within the black box's error estimate, plus the 40-digit
+    reference's own rounding."""
+    assert abs(mp.mpf(op.value) - want) <= op.inner_integral_error + 1e-30 * abs(want)
+
+
+@settings(max_examples=30)
+@given(regimes())
+def test_blackbox_matches_the_closed_form(case):
+    # the kernel integral of a wrapped exp-poly target against the closed
+    # form's 40-digit reference, within its own error estimate
+    terms, u, x = case
     try:
-        op = apply(box, u, x)
+        op = apply(blackbox_of(terms), u, x)
     except OperatorOverflow:
         assume(False)
-    majorant = apply(ExpPolySum(tuple((abs(c), m, a) for c, m, a in terms)), u, x).value
-    assert abs(op.value - apply(g, u, x).value) <= 1e-12 * majorant
+    assert_within_own_estimate(op, reference.oracle(terms, u, x)[0])
+
+
+ONE_TERM, EXPNEG_TERMS = ((1.0, 0, 0.0),), ((1.0, 0, -1.0),)
+
+
+@st.composite
+def far_blackbox_regimes(draw):
+    """(terms, u, x): the constant 1, e^-t, t^2 e^{2t} or a random exp-poly
+    sum, u log-uniform above its rate up to 1e40, x in [0, 2.5]."""
+    terms = draw(st.one_of(st.sampled_from((ONE_TERM, EXPNEG_TERMS, X2E2X.terms)), exppoly))
+    rate = max(max(a for _, _, a in terms), 0.0)
+    u = min(rate + draw(log_uniform(0.01, 1e40)), 1e40)
+    return terms, u, draw(points)
+
+
+@settings(max_examples=60)
+@given(far_blackbox_regimes())
+def test_blackbox_within_its_own_estimate_up_to_u_1e40(case):
+    # nodes t = centre + half xi carried a rounding of eps sqrt(ux) into the
+    # kernel's exponent: the constant 1 read 0 with estimate 0 at u = 1e40
+    terms, u, x = case
+    want, log_scale = reference.far_oracle(terms, u, x)
+    assume(log_scale < LN_DBL_MAX - 1.0)
+    try:
+        op = apply(blackbox_of(terms), u, x)
+    except (OperatorOverflow, ConvergenceFailure):
+        return
+    assert_within_own_estimate(op, want)
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 2.5])
+@pytest.mark.parametrize("u", [1e4, 1e6, 1e8, 1e12, 1e16, 1e25, 1e33, 1e40])
+@pytest.mark.parametrize("terms", [ONE_TERM, EXPNEG_TERMS, X2E2X.terms],
+                         ids=["one", "expneg", "x2e2x"])
+def test_blackbox_gives_a_value_within_its_estimate_at_large_u(terms, u, x):
+    # absolute nodes put eps sqrt(ux) into the kernel's exponent: 12 of these
+    # points were refused, and at u = 1e40 every value read 0 with estimate 0
+    assert_within_own_estimate(apply(blackbox_of(terms), u, x),
+                               reference.far_oracle(terms, u, x)[0])
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("u", [1e4, 1e6, 1e8])
+def test_kinked_blackbox_within_its_estimate(u, x):
+    # at the kink x = 1 the target's own rounding of t - 1 is eps relative to
+    # 1, not to |t - 1|: the estimate's floor carries it
+    op = apply(BlackBox(lambda t: abs(t - 1.0), 0.0, kinks=(1.0,)), u, x)
+    assert_within_own_estimate(op, reference.kernel_quad(u, x, lambda t: abs(t - 1), kinks=(1,)))
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 2.5, 10.0])
+@pytest.mark.parametrize("u", [2.5, 3.0, 5.0])
+def test_growing_blackbox_near_its_rate_within_its_estimate(u, x):
+    # e^{2t} rounds its argument's error 2t times over: the estimate's
+    # floor carries it (it read 1.4 times the estimate at u = 3, x = 10)
+    try:
+        op = apply(blackbox_of(X2E2X.terms), u, x)
+    except OperatorOverflow:
+        return
+    assert_within_own_estimate(op, reference.far_oracle(X2E2X.terms, u, x)[0])
 
 
 @pytest.mark.parametrize("u, x, j_max", [
@@ -324,17 +395,24 @@ def kernel_points(draw):
 @given(kernel_points())
 def test_kernel_forms_agree_over_the_double_range(case):
     # finite, >= 0 and bitwise symmetric wherever u, x and t are doubles; the
-    # array form differs only by numpy's exp, one ulp off libm's at most,
-    # which the two products after it carry to at most 4 ulps of the value
+    # array form at the offset s = sqrt t - sqrt x, against the 40-digit
+    # kernel at that s: exp's argument u s^2 carries its rounding, and a
+    # value below the normal range keeps only its absolute accuracy
     u, x, t = case
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         scalar = kernel_value(u, x, t)
         assert scalar == kernel_value(u, t, x)
     assert 0.0 <= scalar < math.inf
+    s = math.sqrt(t) - math.sqrt(x)
     with np.errstate(all="ignore"):
-        array = float(_kernel_values(u, x, np.array([t]))[0])
-    assert abs(array - scalar) <= 4.0 * math.ulp(scalar)
+        array = float(_kernel_values(u, math.sqrt(x), np.array([s]))[0])
+    want = float(reference.kernel_offset(u, math.sqrt(x), s))
+    assert 0.0 <= array < math.inf
+    if want > 1e-290:
+        assert abs(array - want) <= (16.0 + 4.0 * u * s * s) * EPS * want
+    else:
+        assert array <= 1e-280
 
 
 @given(log_uniform(0.01, 1e6), points, deviations)
@@ -342,11 +420,12 @@ def test_kernel_matches_bessel(u, x, z):
     t = near(u, x, z)
     want = reference.kernel(u, x, t)
     scalar = kernel_value(u, x, t)
-    # the array form the kernel integral evaluates, at the same node
-    array = float(_kernel_values(u, x, np.array([t, t]))[1])
     assert abs(scalar - want) <= 1e-13 * want
+    # the array form the kernel integral evaluates, at the offset of t
+    s = math.sqrt(t) - math.sqrt(x)
+    array = float(_kernel_values(u, math.sqrt(x), np.array([s, s]))[1])
+    want = reference.kernel_offset(u, math.sqrt(x), s)
     assert abs(array - want) <= 1e-13 * want
-    assert abs(array - scalar) <= 4.0 * math.ulp(scalar)
 
 
 @given(log_uniform(0.01, 1e6), points, deviations, deviations)
@@ -361,6 +440,17 @@ def test_kernel_cdf_matches_the_incomplete_gamma_series(u, x, z):
     want = reference.cdf_series(u, x, y)
     assume(want >= 1e-30)
     assert abs(kernel_cdf(u, x, y) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("u, x, y", [
+    (1e3, 1.0, 1.05), (10.0, 1.0, 1.3), (1e6, 1.0, 1.001), (100.0, 0.1, 0.05),
+    (1e4, 2.5, 2.49), (1.0, 0.0, 2.0),
+])
+def test_kernel_cdf_matches_the_kernel_integrated_in_the_offset(u, x, y):
+    # a reference without chndtr: mpmath quadrature of the kernel in
+    # s = sqrt t - sqrt x; the largest gap is 3.7e-14, at u = 1e6
+    want = reference.kernel_quad(u, x, y=y)
+    assert abs(kernel_cdf(u, x, y) - want) <= 1e-13
 
 
 # (sign, coeff, power, rate) of a literal's terms; coefficients print by repr,

@@ -169,7 +169,8 @@ class TestGaussKronrod:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             want, want_err = integrate.quad(lambda t: float(f(np.float64(t))), a, b, limit=1)
-        value, error, _ = _gk21(lambda u, x, t: np.ones_like(t), lambda t, x: f(t),
+        # f rides on the kernel, which takes the nodes themselves
+        value, error, _ = _gk21(lambda u, root_x, s: f(s), lambda d, x: np.ones_like(d),
                                 np.zeros(1), np.zeros(1), np.array([a]), np.array([b]))
         np.testing.assert_allclose(value[0], want, rtol=1e-14)
         np.testing.assert_allclose(error[0], want_err, rtol=1e-9)
@@ -196,11 +197,11 @@ class TestNonFinite:
     def test_one_bad_column_is_refused_at_the_same_node(self, value, kinks):
         # the kernel integral under apply, with a two-column target whose
         # second column is not finite past t = 1.5 (the window is [0, 10.5])
-        def two_columns(t, x):
-            return np.stack([np.ones_like(t), np.where(t > 1.5, value, 1.0)], axis=1)
+        def two_columns(d, x):
+            return np.stack([np.ones_like(d), np.where(x + d > 1.5, value, 1.0)])
 
-        def one_column(t, x):
-            return two_columns(t, x)[:, 1]
+        def one_column(d, x):
+            return two_columns(d, x)[1]
 
         window = operator._blackbox_window(10.0, 1.0, 0.0, kinks)
         refusals = []
@@ -219,23 +220,24 @@ def _batch_integral(g, kinks, us, xs):
     halves of one subinterval."""
     nodes = Counter()
 
-    def kernel(u, x, t):
-        nodes.update(zip(u.tolist(), x.tolist()))
-        return operator._kernel_values(u, x, t)
+    def kernel(u, root_x, s):
+        for point in zip(u[:, 0].tolist(), root_x[:, 0].tolist()):
+            nodes[point] += s.shape[1]
+        return operator._kernel_values(u, root_x, s)
 
     windows = [operator._blackbox_window(u, x, 0.0, kinks) for u, x in zip(us, xs)]
     value, error = kernel_integral(kernel, g, us, xs, windows)
-    counts = [(nodes[u, x] // 21 + len(w[2]) + 1) // 2
+    counts = [(nodes[u, math.sqrt(x)] // 21 + len(w[2]) + 1) // 2
               for u, x, w in zip(us.tolist(), xs.tolist(), windows)]
     return value, error, counts
 
 
-BATCH_TARGETS = {
-    "kinked": (lambda t, x: np.abs(t - 1.0), (1.0,), (0.0, 6.0)),
-    "smooth": (lambda t, x: np.exp(-t) * np.cos(3.0 * t), (), (0.0, 6.0)),
-    "moments": (lambda t, x: np.power.outer(t - x, np.arange(7.0)), (), (0.0, 6.0)),
+BATCH_TARGETS = {  # each of t - x and x at the nodes
+    "kinked": (lambda d, x: np.abs(x + d - 1.0), (1.0,), (0.0, 6.0)),
+    "smooth": (lambda d, x: np.exp(-(x + d)) * np.cos(3.0 * (x + d)), (), (0.0, 6.0)),
+    "moments": (lambda d, x: d ** np.arange(7.0)[:, None, None], (), (0.0, 6.0)),
     # undeclared kinks every pi/7: some points stop at 200 subintervals
-    "ridged": (lambda t, x: np.abs(np.sin(7.0 * t)), (), (1.2, 1.6)),
+    "ridged": (lambda d, x: np.abs(np.sin(7.0 * (x + d))), (), (1.2, 1.6)),
 }
 
 
@@ -291,8 +293,8 @@ class TestBatch:
     def test_refusal_names_the_problem_whose_target_is_not_finite(self):
         us, xs = np.array([10.0, 20.0, 30.0]), np.array([1.0, 1.5, 2.0])
 
-        def g(t, x):
-            return np.where((x == 1.5) & (t > 2.0), np.inf, 1.0)
+        def g(d, x):
+            return np.where((x == 1.5) & (x + d > 2.0), np.inf, 1.0)
 
         windows = [operator._blackbox_window(u, x, 0.0, ()) for u, x in zip(us, xs)]
         with pytest.raises(ConvergenceFailure, match=r"\(u=20.0, x=1.5\)"):

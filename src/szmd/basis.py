@@ -109,7 +109,7 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
     At ux = 1e4 the far branch holds only weights below ~e^-180.  Entries
     with j = 0 get exactly -ux; at x = 0 only j = 0 carries weight.
     Raises ValueError for u outside (0, inf), x outside [0, inf) (NaN
-    included) or a negative index.
+    included) or a negative index, and OverflowError where ux overflows.
     """
     _check_point(u, x)
     j = np.asarray(j, dtype=np.float64)
@@ -118,6 +118,8 @@ def log_weights(u: float, x: float, j: np.ndarray) -> np.ndarray:
     lam = u * x
     if lam == 0.0:
         return np.where(j == 0.0, 0.0, -np.inf)
+    if lam == math.inf:
+        raise OverflowError(f"mean ux of the basis weights overflows at u={u}, x={x}")
     out = np.full_like(j, -lam)
     pos = j > 0.0
     jp = j[pos]

@@ -11,6 +11,7 @@ a whole grid in one call, others point by point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import _check_point, _check_whole
-from .moments import MomentPoly, central_moment, zeta, zeta_sq
+from .moments import MomentPoly, central_moment, zeta_sq
 from .operator import _apply_grid, apply
 from .targets import TargetFunction, map_scalar
 
@@ -156,10 +157,14 @@ class BoundCheck:
 
 def lipschitz_bound_check(g: TargetFunction, s: float, u: float, x: float) -> BoundCheck:
     """Check |B(g;x) - g(x)| <= tau_s(g,x) * (second central moment)^{s/2}."""
-    op = apply(g, u, x)
-    gx = float(g(x))
-    lhs = abs(op.value - gx)
-    rhs = lipschitz_maximal(g, s, x) * central_moment(u, x, 2) ** (s / 2.0)
+    return _lipschitz_check(g, s, u, x, lipschitz_maximal(g, s, x))
+
+
+def _lipschitz_check(g, s: float, u: float, x: float, gauge: float) -> BoundCheck:
+    """lipschitz_bound_check with tau_s(g, x) given, so a caller checking
+    several u at one x estimates it once."""
+    lhs = abs(apply(g, u, x).value - float(g(x)))
+    rhs = gauge * central_moment(u, x, 2) ** (s / 2.0)
     return BoundCheck(lhs, rhs, lhs <= rhs + CHECK_TOL)
 
 
@@ -169,7 +174,9 @@ def lip_space_bound(
     """Bound M * (second central moment / (x(x m1 + m2)))^{s/2}.
 
     The denominator must be positive; at x = 0 or x(x m1 + m2) <= 0 the
-    bound is vacuous and a ValueError is raised.
+    bound is vacuous and a ValueError is raised.  Where the quotient leaves
+    the double range the power is taken in logs, so only a bound that
+    overflows itself is refused, with an OverflowError.
     """
     if not (0.0 < M < math.inf):
         raise ValueError(f"constant M must be positive and finite, got {M}")
@@ -178,10 +185,20 @@ def lip_space_bound(
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order s must lie in (0, 1], got {s}")
     _check_point(u, x)
-    denom = x * (x * m1 + m2)
+    inner = x * m1 + m2
+    denom = x * inner
     if not (denom > 0.0):
         raise ValueError(f"bound is vacuous: x(x*m1 + m2) = {denom} <= 0")
-    bound = M * (central_moment(u, x, 2) / denom) ** (s / 2.0)
+    mu2 = central_moment(u, x, 2)
+    ratio = mu2 / denom
+    if ratio == math.inf or 0.0 < mu2 and ratio < sys.float_info.min:
+        try:  # mu_2 = 2e300 over 1e-200, say: the quotient overflows, its root does not
+            ln_ratio = math.log(mu2) - math.log(x) - math.log(inner)
+            bound = math.exp(math.log(M) + s / 2.0 * ln_ratio)
+        except OverflowError:
+            bound = math.inf
+    else:
+        bound = M * ratio ** (s / 2.0)
     if bound == math.inf:
         raise OverflowError(f"Lipschitz-space bound overflows at u={u}, x={x}")
     return bound
@@ -251,9 +268,11 @@ def recentered_derivative(spec: DbvSpec, x: float) -> Callable:
     g'(t) - g'(x+) above x.  Affine pieces collapse to 0, so its variation
     isolates the genuinely curved/jumpy part of g'.  The result takes a
     scalar t, and an array t when spec.gprime_right takes arrays."""
-    left_ref = float(spec.gprime_left(x))
-    right_ref = float(spec.gprime_right(x))
+    return _recentered(spec, x, float(spec.gprime_left(x)), float(spec.gprime_right(x)))
 
+
+def _recentered(spec: DbvSpec, x: float, left_ref: float, right_ref: float) -> Callable:
+    """recentered_derivative with g'(x-) = left_ref and g'(x+) = right_ref given."""
     def h(t):
         t = np.asarray(t, dtype=np.float64)
         d = spec.gprime_right(t)
@@ -307,7 +326,7 @@ def dbv_bound(
     # radii x/1, ..., x/floor(sqrt(u)), then the edge radius x/sqrt(u)
     radii = x / np.append(np.arange(1.0, math.floor(rt) + 1.0), rt)
     lefts, rights = x - radii, x + radii
-    h = recentered_derivative(spec, x)
+    h = _recentered(spec, x, dl, dr)
     bps = tuple(spec.breakpoints) + (x,)
     ends = np.concatenate((lefts, rights, [x]))
     grid, cum = _cumulative_variation(h, 0.0, 2.0 * x, tv_samples, bps, ends)
@@ -318,7 +337,7 @@ def dbv_bound(
     sum_weight = 2.0 * z2 / (x * u)
     terms = (
         abs(dr + dl) / (2.0 * u),
-        math.sqrt(1.0 / (2.0 * u)) * abs(dr - dl) * zeta(u, x),
+        math.sqrt(1.0 / (2.0 * u)) * abs(dr - dl) * math.sqrt(z2),
         sum_weight * float(np.sum(left_tv[:-1])),
         (x / rt) * float(left_tv[-1]),
         (x / rt) * float(right_tv[-1]),

@@ -216,8 +216,10 @@ class DecayReport:
 def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     """Fit the log-log slope of the m-th central moment against u.
 
-    The slope should not exceed -floor((m+1)/2) + 0.1, the decay order the
-    moment theory guarantees.
+    The slope is the least-squares line's, in closed form: sum(du dv) /
+    sum(du^2) over the logs of u and of the moment, each less its mean.
+    It should not exceed -floor((m+1)/2) + 0.1, the decay order the moment
+    theory guarantees.
     """
     m = _check_whole(m, "moment order m")
     u_grid = np.asarray(sorted(u_grid), dtype=np.float64)
@@ -229,7 +231,8 @@ def decay_order_check(m: int, x: float, u_grid) -> DecayReport:
     if not (x > 0.0):
         raise ValueError("decay fit needs x > 0 (all moments vanish at x=0)")
     vals = np.array([abs(central_moment(u, x, m)) for u in u_grid])
-    slope = float(np.polyfit(np.log(u_grid), np.log(vals), 1)[0])
+    du, dv = (v - v.mean() for v in (np.log(u_grid), np.log(vals)))
+    slope = float(du @ dv / (du @ du))
     limit = -float(math.floor((m + 1) / 2))
     return DecayReport(m, x, slope, limit, slope <= limit + 0.1)
 

@@ -388,8 +388,11 @@ def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> Operat
     """
     _check_domain(g, u, x)
     terms, j_max = _check_truncation(g, j_max)
+    if u * x == math.inf:  # before log_weights, which refuses it untyped
+        raise OperatorOverflow(f"partial sum to J={j_max} is not finite at u={u}, x={x}: "
+                               "ux = inf")
     value, majorant, budget = _partial_sums(u, x, terms, j_max)
-    if not (math.isfinite(value) and math.isfinite(budget) and u * x < math.inf):
+    if not (math.isfinite(value) and math.isfinite(budget)):
         raise OperatorOverflow(f"partial sum to J={j_max} is not finite at u={u}, x={x}: "
                                f"{value}, rounding budget {budget}, ux = {u * x}")
     # the |g|-majorant's closed form minus its partial sum, plus both

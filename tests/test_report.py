@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from szmd import operator, report
+from szmd import bounds, operator, report
 from szmd.bounds import korovkin_sup_error
 from szmd.operator import SequenceRule, parse_rule
 from szmd.report import (
@@ -143,7 +143,9 @@ class TestReferenceComparison:
         devs = report._reference_deviations("n^2")
         assert len(devs) == len(t.cells) == 49
         # rtol=-1 keeps every cell, exact matches too
-        assert devs == [m.rel_deviation for m in compare_with_reference(t, rtol=-1.0)]
+        assert list(devs.values()) == [m.rel_deviation
+                                       for m in compare_with_reference(t, rtol=-1.0)]
+        assert list(devs) == [(c.x, c.n) for c in t.cells]
 
     def test_one_cell_misses_its_printed_digits(self):
         # each cell rounded to as many significant digits as the paper prints,
@@ -464,6 +466,31 @@ class TestVerificationSuite:
         check = {c.name: c for c in run_verification_suite("spot")}["reference-spot-checks"]
         assert math.isnan(check.measured) and not check.passed
 
+    def test_full_mode_reads_the_spot_cells_off_the_full_tables(self, monkeypatch):
+        spot = next(c for c in run_verification_suite("spot") if c.name == "reference-spot-checks")
+        built = []
+        make = report.make_error_table
+        monkeypatch.setattr(report, "make_error_table",
+                            lambda *a, **k: built.append(k) or make(*a, **k))
+        checks = run_verification_suite("full")
+        assert built == [{}, {}, {}]
+        assert next(c for c in checks if c.name == "reference-spot-checks") == spot
+
+    def test_lipschitz_gauge_taken_once_per_x(self, monkeypatch):
+        gauges, fits = [], []
+        maximal, check = bounds.lipschitz_maximal, bounds._lipschitz_check
+        monkeypatch.setattr(bounds, "lipschitz_maximal",
+                            lambda *a: gauges.append(a[2]) or maximal(*a))
+        monkeypatch.setattr(bounds, "_lipschitz_check",
+                            lambda *a: fits.append(check(*a)) or fits[-1])
+        got = next(c for c in run_verification_suite("none") if c.name == "lipschitz-gauge-bound")
+        assert gauges == [0.5, 1.0, 2.0]
+        monkeypatch.undo()
+        want = [bounds.lipschitz_bound_check(BUILTIN_TARGETS["expneg"], 1.0, u, x)
+                for u in (50.0, 100.0, 400.0) for x in (0.5, 1.0, 2.0)]
+        assert [f.lhs - f.rhs for f in fits] == [f.lhs - f.rhs for f in want]
+        assert got.measured == max(f.lhs - f.rhs for f in want)
+
     def test_full_table_figures_match_a_recomputation(self):
         devs = {}
         for label, rows in REFERENCE_ABS_ERRORS.items():
@@ -477,8 +504,7 @@ class TestVerificationSuite:
         assert [c.name for c in checks[-2:]] == ["reference-spot-checks", "reference-tables-full"]
         spot, full = checks[-2:]
         assert len(checks) == 17 and all(c.passed for c in checks)
-        assert spot.measured == pytest.approx(max(devs[k] for k in REFERENCE_SPOT_CHECKS),
-                                              rel=1e-12)
+        assert spot.measured == max(devs[k] for k in REFERENCE_SPOT_CHECKS)
         assert full.measured == pytest.approx(max(devs.values()), rel=1e-12)
         assert len(devs) == 147
         bad = sum(d > 1e-3 for d in devs.values())

@@ -37,7 +37,8 @@ rc=0; szmd eval --g t --rule 'n^' --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --rule explicit:1,x || rc=$?; test "$rc" -eq 2
 szmd eval --g '2*t^2 - 0.5*t + 3' --u 100 --x 1 --J 80
 szmd eval --g '-1*t^3*exp(-5*t) + 0.5*t' --u 100 --x 1
-szmd bounds --which dbv --g t2 --u 400 --x 1
+szmd bounds --which dbv --g t2 --u 400 --x 1 >"$out/dbv.txt"
+grep -qF 'bound_total = 0.0871346801257' "$out/dbv.txt"
 szmd bounds --which kfunctional --g expneg --u 1e3 --x 1
 szmd bounds --which lipschitz --g expneg --u 1e3 --x 1
 szmd bounds --which lipspace --g expneg --u 1e3 --x 1

@@ -5,8 +5,9 @@ All smoothness gauges are grid under-estimates that converge to the true
 supremum from below as the grid step shrinks; every estimate reports the
 step it was computed with.  Total variation is a running sum of |df| along
 one partition, so the bounded-variation bound reads all its nested
-intervals off a single pass.  Functions that take arrays are evaluated on
-a whole grid in one call, others point by point.
+intervals off a single pass, and one partition per x serves every u of a
+row (_dbv_bounds).  Functions that take arrays are evaluated on a whole
+grid in one call, others point by point.
 """
 from __future__ import annotations
 
@@ -312,38 +313,51 @@ def dbv_bound(
     O(tv_samples + sqrt(u)) points, on which a g' that takes arrays is called
     once and any other once per point.  Exact for piecewise-monotone
     g' with declared breakpoints, else under-estimates that rise to the true
-    variation as tv_samples grows.
+    variation as tv_samples grows.  This is the one-u row of _dbv_bounds,
+    whose one partition per x serves every u of a row.
     """
-    _check_point(u, x)
+    return _dbv_bounds(spec, (u,), x, tv_samples)[0]
+
+
+def _dbv_bounds(spec: DbvSpec, us, x: float, tv_samples: int = 2048) -> list[DbvBound]:
+    """dbv_bound at each u of us and one x, all read off one partition of
+    [0, 2x] that holds the interval ends of every u (repeats kept, each adds
+    an exact 0).  With one u it is dbv_bound's partition, bit for bit; with
+    more, each u's variations are taken on a refinement of its own, so an
+    exact variation keeps its bits and an under-estimate can only rise."""
+    for u in us:
+        _check_point(u, x)
     if not (x > 0.0):
         raise ValueError("bound has 1/x factors; x must be positive")
-    if not (u > 1.0):
+    if not all(u > 1.0 for u in us):
         raise ValueError("need u > 1 so that x - x/sqrt(u) > 0")
     dl = float(spec.gprime_left(x))
     dr = float(spec.gprime_right(x))
-    z2 = zeta_sq(u, x)
-    rt = math.sqrt(u)
-    # radii x/1, ..., x/floor(sqrt(u)), then the edge radius x/sqrt(u)
-    radii = x / np.append(np.arange(1.0, math.floor(rt) + 1.0), rt)
-    lefts, rights = x - radii, x + radii
+    # per u the radii x/1, ..., x/floor(sqrt(u)), then the edge radius x/sqrt(u)
+    rts = [math.sqrt(u) for u in us]
+    radii = [x / np.append(np.arange(1.0, math.floor(rt) + 1.0), rt) for rt in rts]
+    ends = [np.concatenate((x - r, x + r, [x])) for r in radii]
     h = _recentered(spec, x, dl, dr)
     bps = tuple(spec.breakpoints) + (x,)
-    ends = np.concatenate((lefts, rights, [x]))
-    grid, cum = _cumulative_variation(h, 0.0, 2.0 * x, tv_samples, bps, ends)
-    at_ends = cum[np.searchsorted(grid, ends)]  # lefts, rights, then x
-    left_tv = at_ends[-1] - at_ends[:len(radii)]
-    right_tv = at_ends[len(radii):-1] - at_ends[-1]
-
-    sum_weight = 2.0 * z2 / (x * u)
-    terms = (
-        abs(dr + dl) / (2.0 * u),
-        math.sqrt(1.0 / (2.0 * u)) * abs(dr - dl) * math.sqrt(z2),
-        sum_weight * float(np.sum(left_tv[:-1])),
-        (x / rt) * float(left_tv[-1]),
-        (x / rt) * float(right_tv[-1]),
-        sum_weight * float(np.sum(right_tv[:-1])),
-    )
-    return DbvBound(*terms, total=sum(terms))
+    grid, cum = _cumulative_variation(h, 0.0, 2.0 * x, tv_samples, bps,
+                                      np.concatenate(ends))
+    out = []
+    for u, rt, r, e in zip(us, rts, radii, ends):
+        at_ends = cum[np.searchsorted(grid, e)]  # lefts, rights, then x
+        left_tv = at_ends[-1] - at_ends[:len(r)]
+        right_tv = at_ends[len(r):-1] - at_ends[-1]
+        z2 = zeta_sq(u, x)
+        sum_weight = 2.0 * z2 / (x * u)
+        terms = (
+            abs(dr + dl) / (2.0 * u),
+            math.sqrt(1.0 / (2.0 * u)) * abs(dr - dl) * math.sqrt(z2),
+            sum_weight * float(np.sum(left_tv[:-1])),
+            (x / rt) * float(left_tv[-1]),
+            (x / rt) * float(right_tv[-1]),
+            sum_weight * float(np.sum(right_tv[:-1])),
+        )
+        out.append(DbvBound(*terms, total=sum(terms)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -355,11 +369,16 @@ class DbvCheck:
 
 def dbv_empirical_check(spec: DbvSpec, u: float, x: float) -> DbvCheck:
     """Compare the realized error |B(g;x) - g(x)| with the variation bound."""
-    op = apply(spec.g, u, x)
+    return _dbv_checks(spec, (u,), x)[0]
+
+
+def _dbv_checks(spec: DbvSpec, us, x: float) -> list[DbvCheck]:
+    """dbv_empirical_check at each u of us and one x, the bounds read off one
+    partition (_dbv_bounds)."""
+    values = [apply(spec.g, u, x).value for u in us]
     gx = float(spec.g(x))
-    lhs = abs(op.value - gx)
-    bound = dbv_bound(spec, u, x)
-    return DbvCheck(lhs, bound, lhs <= bound.total + CHECK_TOL)
+    return [DbvCheck(abs(v - gx), bound, abs(v - gx) <= bound.total + CHECK_TOL)
+            for v, bound in zip(values, _dbv_bounds(spec, us, x))]
 
 
 def korovkin_sup_error(g: TargetFunction, u: float, x_grid) -> float:
@@ -367,6 +386,13 @@ def korovkin_sup_error(g: TargetFunction, u: float, x_grid) -> float:
     certifies uniform convergence on compacts.  The operator runs first on
     the whole grid (one array call), so a NaN, infinite or negative x, or
     an empty grid, is refused before g is evaluated."""
+    return _korovkin_sup_errors(g, (u,), x_grid)[0]
+
+
+def _korovkin_sup_errors(g: TargetFunction, us, x_grid) -> list[float]:
+    """korovkin_sup_error at each u of us from one operator call, with the us
+    as a column against the grid; a row equals its lone-u call (see
+    operator._closed_form_grid)."""
     xs = np.asarray(x_grid, dtype=np.float64)
-    values = _apply_grid(g, u, xs)
-    return float(np.max(np.abs(values - _grid_values(g, xs))))
+    values = _apply_grid(g, np.array(us, dtype=np.float64)[:, None], xs)
+    return np.max(np.abs(values - _grid_values(g, xs)), axis=-1).tolist()

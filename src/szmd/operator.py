@@ -9,7 +9,8 @@ weights over j gives every exp-poly term the closed form
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), taken in log
 space from ln L (moments._log_moment_sum), so every power and u give a value
 where it is finite: at one point with math and its rounding budget
-(_closed_form), on a grid of (u, x) in one numpy call (_closed_form_grid).
+(_closed_form, an x-free setup per u and a step per x, so a table column
+sets up once), on a grid of (u, x) in one numpy call (_closed_form_grid).
 The same sum is B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j
 s_{u,j}(x) s_{u,j}(t), whose Bessel form is a bump in s = sqrt t - sqrt x
 of width 1/sqrt(2u) for every x; a black box is integrated against it in s
@@ -29,6 +30,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from operator import mul  # the standard library's, not this module
 
 import numpy as np
 
@@ -177,34 +179,52 @@ def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
     terms' summed weights) smallest subnormals cover the rounding onto their
     grid.  Raises OperatorOverflow when sum_k |c_k| B_k overflows.
     """
-    logs, signs, conds = [], [], []
+    return _closed_form_at(_closed_form_setup(u, terms), x)
+
+
+def _closed_form_setup(u: float, terms) -> tuple:
+    """_closed_form's x-free work at u: ln u, and per nonzero term its sign, m,
+    ln(u/(u-a)), the parts ln|c|, -m ln u and (m+1) ln(u/(u-a)), their
+    magnitudes, and the tilt's rate (u/(u-a)) a, which x multiplies."""
     ln_u = math.log(u)
-    ln_x = math.log(x) if x else -math.inf
+    heads = []
     for c, m, a in terms:
         if c == 0.0:
             continue
         ratio = u / (u - a)
         ln_ratio = math.log(ratio) if ratio else -math.inf  # 0 only for a subnormal u
+        p_c, p_u, p_ratio = math.log(abs(c)), -m * ln_u, (m + 1) * ln_ratio
+        heads.append((math.copysign(1.0, c), m, ln_ratio, p_c, p_u, p_ratio,
+                      abs(p_c), abs(p_u), abs(p_ratio), ratio * a))
+    return ln_u, heads, len(terms)
+
+
+def _closed_form_at(setup: tuple, x: float) -> tuple[float, float]:
+    """_closed_form at x from its setup at u, in the same operations."""
+    ln_u, heads, n_terms = setup
+    logs, signs, conds = [], [], []
+    ln_x = math.log(x) if x else -math.inf
+    for sign, m, ln_ratio, p_c, p_u, p_ratio, a_c, a_u, a_ratio, rate in heads:
         ln_l = ln_u + ln_x + ln_ratio
-        parts = (math.log(abs(c)), -m * ln_u, (m + 1) * ln_ratio, ratio * a * x,
-                 _log_moment_sum(m, ln_l))
-        logs.append(math.fsum(parts))
-        signs.append(math.copysign(1.0, c))
+        tilt, p_sum = rate * x, _log_moment_sum(m, ln_l)
+        logs.append(math.fsum((p_c, p_u, p_ratio, tilt, p_sum)))
+        signs.append(sign)
         drift = 5.0 * m * (abs(ln_u) + abs(ln_x) + abs(ln_ratio)) if ln_l > -math.inf else 0.0
-        conds.append(2.5 * sum(map(abs, parts)) + drift + 5.0 * (m + 1) + 2.0 + len(terms))
+        conds.append(2.5 * sum((a_c, a_u, a_ratio, abs(tilt), abs(p_sum))) + drift
+                     + 5.0 * (m + 1) + 2.0 + n_terms)
     if not logs:
         return 0.0, 0.0
     top = max(logs)
     weights = [math.exp(lg - top) for lg in logs]
     log_scale = top + math.log(sum(weights))
     big = math.exp(top) if log_scale <= _LN_DBL_MAX else math.inf
-    value = big * sum(s * w for s, w in zip(signs, weights))
+    value = big * sum(map(mul, signs, weights))
     if not math.isfinite(value):
         raise OperatorOverflow(
             f"operator value overflows: ln sum|c_k| B_k = {log_scale:.6g}"
         )
-    cond = sum(w * k for w, k in zip(weights, conds))
-    if big >= sys.float_info.min:
+    cond = sum(map(mul, weights, conds))
+    if big >= _DBL_MIN:
         return value, _EPS * big * cond
     return value, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + sum(weights))
 
@@ -368,6 +388,19 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     )
 
 
+def _apply_column(g: TargetFunction, u: float):
+    """x -> apply(g, u, x).value, for x already checked.  A structured target
+    has u checked and its closed form set up once, so each x costs one
+    _closed_form_at with apply's bits and refusals; a black box, or a u not
+    above the growth rate, takes apply (and its refusal) at each x."""
+    terms = exppoly_terms(g)
+    if terms is None or u <= g.growth_rate:
+        return lambda x: apply(g, u, x).value
+    _check_point(u, 0.0)
+    setup = _closed_form_setup(u, terms)
+    return lambda x: _closed_form_at(setup, x)[0]
+
+
 def _check_truncation(g: TargetFunction, j_max) -> tuple[tuple, int]:
     """g's exp-poly terms and J as an int, for a whole number J >= 0 and a structured g."""
     j_max = _check_whole(j_max, "J")
@@ -434,15 +467,18 @@ def _kernel_values(u, root_x, s: np.ndarray) -> np.ndarray:
     s = sqrt t - sqrt x >= -sqrt x, in numpy, with kernel_value's asymptote
     where the Bessel argument overflows: the exponent takes s, not a rounded
     t.  u s can overflow only for u above ~1e154, where the kernel is 0 (call
-    under np.errstate, as kernel_integral does)."""
+    under np.errstate, as kernel_integral does).  The asymptote is taken on
+    the overflowing nodes alone, so a node where sqrt x + s rounds to 0 never
+    divides by it."""
     root_t = root_x + s
     z = 2.0 * (u * (root_x * root_t))
     e = np.exp(-u * s * s)
     k = u * e * i0e(z)
     over = z == np.inf
     if over.any():
-        u_i0e = np.sqrt(u / np.pi) / 2.0 / np.sqrt(root_x) / np.sqrt(root_t)
-        k = np.where(over, e * u_i0e, k)
+        u_o, root_x_o, root_t_o, e_o = (np.broadcast_to(v, z.shape)[over]
+                                        for v in (u, root_x, root_t, e))
+        k[over] = e_o * (np.sqrt(u_o / np.pi) / 2.0 / np.sqrt(root_x_o) / np.sqrt(root_t_o))
     return k * (2.0 * root_t)
 
 

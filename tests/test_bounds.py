@@ -1,12 +1,17 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from szmd import bounds
 from szmd.bounds import (
     DbvSpec,
+    _dbv_bounds,
+    _dbv_checks,
+    _korovkin_sup_errors,
     dbv_bound,
     dbv_empirical_check,
     kfunctional_bound,
@@ -20,7 +25,7 @@ from szmd.bounds import (
     total_variation,
 )
 from szmd.moments import central_moment, zeta, zeta_sq
-from szmd.targets import BUILTIN_TARGETS, BlackBox, MonomialSum, exppoly_derivative
+from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum, exppoly_derivative
 
 EXPNEG = BUILTIN_TARGETS["expneg"]
 T = BUILTIN_TARGETS["t"]
@@ -477,6 +482,57 @@ class TestDbvOnePass:
             dbv_bound(abs_shift_spec(), 100.0, 1.0, tv_samples=samples)
 
 
+AFFINE_SPEC = DbvSpec(MonomialSum(((3.0, 1), (0.25, 0))),
+                      gprime_left=lambda t: 3.0, gprime_right=lambda t: 3.0)
+ROWS = [(100.0, 400.0, 900.0), (1.5, 2.0, 1e4), (400.0,)]
+
+
+class TestDbvRow:
+    @pytest.mark.parametrize("spec", [abs_shift_spec(), abs_shift_array_spec(), AFFINE_SPEC],
+                             ids=["abs-scalar", "abs-array", "affine"])
+    @pytest.mark.parametrize("us", ROWS)
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])
+    def test_row_has_the_bits_of_each_lone_u(self, spec, us, x):
+        # g' piecewise constant: the shared partition adds only exact zeros
+        assert _dbv_bounds(spec, us, x) == [dbv_bound(spec, u, x) for u in us]
+
+    @pytest.mark.parametrize("us", ROWS + [(100.0, 1e4, 1e6)])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.5])
+    def test_curved_derivative_never_falls_on_the_finer_partition(self, us, x):
+        # g = t^2 e^(-t), g' = (2t - t^2) e^(-t): each u's variations are
+        # taken on a refinement of its lone partition, so their exact values
+        # can only rise; the running |dh| sum over the row's n points rounds
+        # a total by up to ~n eps of it (at u = 100, 400, 900 by x = 0.5, 1,
+        # 1.5 it moves by 4.8e-15 at most)
+        g = ExpPolySum(((1.0, 2, -1.0),))
+        spec = DbvSpec(g, gprime_left=exppoly_derivative(g), gprime_right=exppoly_derivative(g))
+        n = 2048 + sum(2 * math.floor(math.sqrt(u)) + 3 for u in us) + 6
+        for row, lone in zip(_dbv_bounds(spec, us, x), (dbv_bound(spec, u, x) for u in us)):
+            assert row.derivative_mean == lone.derivative_mean
+            assert row.derivative_jump == lone.derivative_jump
+            assert row.total >= lone.total * (1.0 - n * sys.float_info.epsilon)
+
+    def test_row_calls_the_derivative_once_on_its_partition(self):
+        calls = []
+        _dbv_bounds(abs_shift_array_spec(calls), (100.0, 400.0, 900.0), 0.5)
+        assert len(calls) == 3 and calls[:2] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("us, match", [
+        ((100.0, math.nan), "u must be positive"),
+        ((100.0, 1.0), "need u > 1"),
+    ])
+    def test_any_bad_u_of_a_row_is_refused(self, us, match):
+        with pytest.raises(ValueError, match=match):
+            _dbv_bounds(abs_shift_spec(), us, 1.0)
+
+    @pytest.mark.parametrize("spec, us, x", [
+        (AFFINE_SPEC, (100.0, 400.0), 1.0),
+        (abs_shift_spec(), (100.0, 400.0, 900.0), 0.5),
+    ])
+    def test_checks_match_each_lone_check(self, spec, us, x):
+        assert _dbv_checks(spec, us, x) == [dbv_empirical_check(spec, u, x) for u in us]
+
+
 class TestDbvEmpiricalCheck:
     def test_affine_is_attained_exactly(self):
         g = MonomialSum(((3.0, 1), (0.25, 0)))
@@ -503,6 +559,23 @@ class TestKorovkin:
             e2 = korovkin_sup_error(g, 1e2, grid)
             e4 = korovkin_sup_error(g, 1e4, grid)
             assert e2 / e4 >= 50.0
+
+    @pytest.mark.parametrize("g", [ONE, T, T2, EXPNEG, BUILTIN_TARGETS["negx3e5x"]])
+    def test_column_of_u_equals_each_lone_call(self, g, monkeypatch):
+        # one operator call with u as a column; each row keeps its bits
+        grid = np.linspace(0.0, 2.5, 11)
+        us = (1e2, 1e4, 3e5)
+        want = [korovkin_sup_error(g, u, grid) for u in us]
+        calls = []
+        real = bounds._apply_grid
+
+        def counting(g, u, xs):
+            calls.append(np.shape(u))
+            return real(g, u, xs)
+
+        monkeypatch.setattr(bounds, "_apply_grid", counting)
+        assert _korovkin_sup_errors(g, us, grid) == want
+        assert calls == [(3, 1)]
 
     def test_decaying_exponential_converges(self):
         grid = np.linspace(0.0, 2.5, 11)

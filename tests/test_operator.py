@@ -449,6 +449,17 @@ class TestKernel:
         np.testing.assert_allclose(values[0], want, rtol=1e-13)
         assert values[1] == kernel_value(u, x, x / 4.0) == 0.0
 
+    def test_asymptote_skips_nodes_whose_argument_is_finite(self):
+        # at s = 1 - sqrt x, sqrt x + s rounds to 0: the asymptote's
+        # 1/sqrt(sqrt x + s) would divide by zero there, so it is taken only
+        # on the node whose Bessel argument overflows
+        root_x = math.sqrt(1e308)
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            values = _kernel_values(1.0, root_x, np.array([1.0 - root_x, 0.0]))
+            alone = _kernel_values(1.0, root_x, np.array([0.0]))
+        assert values[0] == 0.0
+        assert values[1] == alone[0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+
     def test_integrates_to_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)

@@ -22,6 +22,7 @@ from szmd.bounds import kfunctional_bound
 from szmd.moments import central_moment, raw_moment, zeta_sq
 from szmd.operator import (
     OperatorOverflow,
+    SequenceRule,
     _closed_form,
     _closed_form_grid,
     _kernel_values,
@@ -30,7 +31,8 @@ from szmd.operator import (
     kernel_cdf,
     kernel_value,
 )
-from szmd.quadrature import ConvergenceFailure
+from szmd.quadrature import ConvergenceFailure, DivergentIntegral
+from szmd.report import make_error_table
 from szmd.targets import BUILTIN_TARGETS, BlackBox, ExpPolySum, MonomialSum, parse_target
 import reference
 
@@ -193,6 +195,34 @@ def test_closed_form_grid_over_many_u_keeps_each_u_alone(terms, offsets, data):
         return
     for row_values, want_values in zip(_closed_form_grid(column, xs, terms), rows):
         assert row_values.tobytes() == want_values.tobytes()
+
+
+@given(exppoly, st.lists(log_uniform(0.01, 1e6), min_size=1, max_size=4),
+       st.lists(points, min_size=1, max_size=4))
+def test_error_table_cells_are_apply_bit_for_bit(terms, offsets, xs):
+    # one closed-form setup per u_n serves its column; with t^2 e^{2t} added,
+    # u_n = 1 and the growth rate diverge and u_n just above the rate
+    # overflows at x = 2.5, each cell with apply's message
+    g = ExpPolySum(terms + ((1.0, 2, 2.0),))
+    rate = g.growth_rate
+    us = sorted({1.0, rate, rate + 1e-3, *(min(rate + v, 1e6) for v in offsets)})
+    table = make_error_table(g, SequenceRule.from_explicit(us), xs=(*xs, 2.5),
+                             ns=range(1, len(us) + 1))
+    statuses = set()
+    for cell in table.cells:
+        assert cell.u == us[cell.n - 1] and cell.g_value == float(g(cell.x))
+        try:
+            want = apply(g, cell.u, cell.x).value
+        except (DivergentIntegral, OperatorOverflow) as exc:
+            status = "overflow" if isinstance(exc, OperatorOverflow) else "divergent"
+            assert cell.error == f"{status}: {exc}"
+            assert math.isnan(cell.operator_value) and math.isnan(cell.abs_error)
+            statuses.add(status)
+            continue
+        assert cell.error is None
+        assert cell.operator_value.hex() == want.hex()
+        assert cell.abs_error.hex() == abs(want - cell.g_value).hex()
+    assert statuses == {"divergent", "overflow"}
 
 
 @given(regimes(), uniform(-3.0, 3.0))

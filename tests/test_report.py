@@ -22,7 +22,7 @@ from szmd.report import (
     run_verification_suite,
     table_csv,
 )
-from szmd.targets import BUILTIN_TARGETS, BlackBox
+from szmd.targets import BUILTIN_TARGETS, BlackBox, MonomialSum
 import reference
 
 X2E2X = BUILTIN_TARGETS["x2e2x"]
@@ -117,6 +117,27 @@ class TestErrorTable:
         with pytest.raises(ValueError, match="n list is empty"):
             make_error_table(g, SequenceRule.identity(), xs=(1.0,), ns=[])
         assert seen == []
+
+    def test_structured_target_sets_up_each_u_once_and_never_calls_apply(self, monkeypatch):
+        setups, cells = [], []
+
+        def counting_setup(u, terms):
+            setups.append(u)
+            return closed_form_setup(u, terms)
+
+        def counting_apply(g, u, x):
+            cells.append((u, x))
+            return real_apply(g, u, x)
+
+        closed_form_setup, real_apply = operator._closed_form_setup, operator.apply
+        monkeypatch.setattr(operator, "_closed_form_setup", counting_setup)
+        monkeypatch.setattr(operator, "apply", counting_apply)
+        t = make_error_table(X2E2X, parse_rule("n"))
+        assert setups == [float(n) for n in REFERENCE_NS] and cells == []
+        assert len(t.cells) == 49
+        g = BlackBox(lambda t: t * t, growth_rate=0.0)
+        make_error_table(g, parse_rule("n"), xs=(0.5, 1.0), ns=(10, 50))
+        assert cells == [(10.0, 0.5), (50.0, 0.5), (10.0, 1.0), (50.0, 1.0)]
 
     def test_u_column_strictly_increasing(self):
         t = make_error_table(X2E2X, SequenceRule.from_power(1.5), xs=(1.0,), ns=(10, 50, 100))
@@ -490,6 +511,29 @@ class TestVerificationSuite:
                 for u in (50.0, 100.0, 400.0) for x in (0.5, 1.0, 2.0)]
         assert [f.lhs - f.rhs for f in fits] == [f.lhs - f.rhs for f in want]
         assert got.measured == max(f.lhs - f.rhs for f in want)
+
+    def test_dbv_and_korovkin_checks_share_their_work_along_u(self, monkeypatch):
+        # one DBV partition per x, one Korovkin operator call per target with
+        # u as a column; the figures are those of the lone calls
+        spans, shapes = [], []
+        cumulative, grid = bounds._cumulative_variation, bounds._apply_grid
+        monkeypatch.setattr(bounds, "_cumulative_variation",
+                            lambda f, lo, hi, *a: spans.append(hi / 2.0) or cumulative(f, lo, hi, *a))
+        monkeypatch.setattr(bounds, "_apply_grid",
+                            lambda g, u, xs: shapes.append(np.shape(u)) or grid(g, u, xs))
+        got = {c.name: c for c in run_verification_suite("none")}
+        assert sorted(spans) == [0.5, 1.0, 1.0, 1.5]
+        assert shapes == [(2, 1), (2, 1), (1, 1)]
+        monkeypatch.undo()
+        affine = bounds.DbvSpec(MonomialSum(((3.0, 1), (0.25, 0))),
+                                gprime_left=lambda t: 3.0, gprime_right=lambda t: 3.0)
+        fits = [bounds.dbv_empirical_check(affine, u, 1.0) for u in (100.0, 400.0)]
+        assert got["dbv-affine-exactness"].measured == max(abs(f.lhs - f.bound.total) for f in fits)
+        x_grid = np.linspace(0.0, 2.5, 11)
+        deficits = [50.0 - korovkin_sup_error(g, 1e2, x_grid) / korovkin_sup_error(g, 1e4, x_grid)
+                    for g in (BUILTIN_TARGETS["t"], BUILTIN_TARGETS["t2"])]
+        assert got["korovkin-decay-ratio"].measured == max(0.0, *deficits)
+        assert got["korovkin-constant-exact"].measured == korovkin_sup_error(ONE, 1e4, x_grid)
 
     def test_full_table_figures_match_a_recomputation(self):
         devs = {}

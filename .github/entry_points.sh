@@ -36,6 +36,10 @@ szmd table --xs 0:1:1e3 --ns 10 >/dev/null
 rc=0; szmd eval --g t --rule 'n^' --x 1 || rc=$?; test "$rc" -eq 2
 rc=0; szmd table --rule explicit:1,x || rc=$?; test "$rc" -eq 2
 szmd eval --g '2*t^2 - 0.5*t + 3' --u 100 --x 1 --J 80
+szmd eval --g x2e2x --u 3 --x 300 --J 10 >"$out/trunc.txt"
+grep -qxF 'tail_bound = inf' "$out/trunc.txt"
+rc=0; szmd eval --g x2e2x --u 1e308 --x 1 --J 50 2>"$out/err" || rc=$?; test "$rc" -eq 2
+grep -qF 'partial sum to J=50 is not finite' "$out/err"
 szmd eval --g '-1*t^3*exp(-5*t) + 0.5*t' --u 100 --x 1
 szmd bounds --which dbv --g t2 --u 400 --x 1 >"$out/dbv.txt"
 grep -qF 'bound_total = 0.0871346801257' "$out/dbv.txt"

@@ -174,10 +174,10 @@ def lip_space_bound(
 ) -> float:
     """Bound M * (second central moment / (x(x m1 + m2)))^{s/2}.
 
-    The denominator must be positive; at x = 0 or x(x m1 + m2) <= 0 the
-    bound is vacuous and a ValueError is raised.  Where the quotient leaves
-    the double range the power is taken in logs, so only a bound that
-    overflows itself is refused, with an OverflowError.
+    At x = 0 or x m1 + m2 <= 0 the bound is vacuous: a ValueError.  Where
+    the quotient or its denominator leaves the double range the power is
+    taken in logs, so only a bound that overflows itself is refused, with an
+    OverflowError.
     """
     if not (0.0 < M < math.inf):
         raise ValueError(f"constant M must be positive and finite, got {M}")
@@ -187,11 +187,10 @@ def lip_space_bound(
         raise ValueError(f"order s must lie in (0, 1], got {s}")
     _check_point(u, x)
     inner = x * m1 + m2
-    denom = x * inner
-    if not (denom > 0.0):
-        raise ValueError(f"bound is vacuous: x(x*m1 + m2) = {denom} <= 0")
-    mu2 = central_moment(u, x, 2)
-    ratio = mu2 / denom
+    if not (x > 0.0 and inner > 0.0):
+        raise ValueError(f"bound is vacuous: x(x*m1 + m2) = {x * inner} <= 0")
+    mu2, denom = central_moment(u, x, 2), x * inner
+    ratio = mu2 / denom if denom else math.inf if mu2 else 0.0  # x(x m1 + m2) underflowed
     if ratio == math.inf or 0.0 < mu2 and ratio < sys.float_info.min:
         try:  # mu_2 = 2e300 over 1e-200, say: the quotient overflows, its root does not
             ln_ratio = math.log(mu2) - math.log(x) - math.log(inner)

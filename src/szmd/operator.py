@@ -9,16 +9,17 @@ weights over j gives every exp-poly term the closed form
 with L = u^2 x/(u-a) and A_m = raw_moment_lambda_coeffs(m), taken in log
 space from ln L (moments._log_moment_sum), so every power and u give a value
 where it is finite: at one point with math and its rounding budget
-(_closed_form, an x-free setup per u and a step per x, so a table column
-sets up once), on a grid of (u, x) in one numpy call (_closed_form_grid).
+(_closed_form_at, a step per x after an x-free setup per u), on a grid of
+(u, x) in one numpy call (_closed_form_grid).
 The same sum is B(g; x) = int_0^inf K(x,t) g(t) dt, K(x,t) = u sum_j
 s_{u,j}(x) s_{u,j}(t), whose Bessel form is a bump in s = sqrt t - sqrt x
 of width 1/sqrt(2u) for every x; a black box is integrated against it in s
 by one adaptive quadrature, whose array kernel (_kernel_values) makes a
-round one array call for a whole grid.  The series is summed only for the
-fixed-J truncation study.  Every value ships with a bound on what its
-evaluation neglected or rounded.  The kernel's distribution function has a
-noncentral chi-square closed form.
+round one array call for a whole grid.  The fixed-J truncation study takes
+the closed form with its moment sum cut after j = J, through the same step
+at x.  Every value ships with a bound on what its evaluation neglected or
+rounded.  The kernel's distribution function has a noncentral chi-square
+closed form.
 
 i0e and chndtr are bound on first call (basis._special_on_first_call): only
 the kernel, its array form and its CDF use scipy.special, so apply on a
@@ -36,7 +37,7 @@ import numpy as np
 
 from .basis import _check_point, _check_whole, _special_on_first_call, log_weights, tail_mass
 from .moments import _log_moment_sum, _log_moment_sum_grid
-from .quadrature import ConvergenceFailure, DivergentIntegral, kernel_integral, log_exppoly_integrals
+from .quadrature import ConvergenceFailure, DivergentIntegral, kernel_integral
 from .targets import TargetFunction, exppoly_terms
 
 _EPS = sys.float_info.epsilon
@@ -137,7 +138,7 @@ class OperatorValue:
 
     apply: no series is summed, so series_terms_used = 0 and tail_mass =
     0.0.  For a structured target tail_bound is the rounding budget of the
-    log-space closed form (see _closed_form), never 0 for a nonzero value;
+    log-space closed form (see _closed_form_at), never 0 for a nonzero value;
     for a black box it is 0.0 and inner_integral_error is the error
     estimate of its kernel integral, which covers the rounding of the
     argument t the black box is handed (quadrature._gk21's floor).
@@ -161,29 +162,8 @@ class OperatorValue:
     inner_integral_error: float
 
 
-def _closed_form(u: float, x: float, terms) -> tuple[float, float]:
-    """sum_k c_k B(t^m_k e^{a_k t}; x) and its rounding budget.
-
-    Each term is exp of the parts ln|c| - m ln u + (m+1) ln(u/(u-a)) + the
-    tilt (u/(u-a)) a x + P, P = moments._log_moment_sum of ln L = ln u + ln x
-    + ln(u/(u-a)), so nothing overflows while the sum is finite.  With each
-    operation, log and exp off by at most eps_mach relative, the first four
-    parts are off by at most 2 eps_mach times their magnitude plus (m+1)
-    eps_mach; ln L by eps_mach (2S + 1), S = |ln u| + |ln x| + |ln(u/(u-a))|;
-    P by eps_mach (2P + 2.5(m+1) + 3mS) plus m times ln L's error (P's
-    derivative in ln L is its mean power, at most m; where L = 0 it is 0); the
-    exactly rounded sum by half an eps_mach of the parts' magnitudes.  exp
-    turns this into a relative error, and joining K terms adds (2 + K)
-    eps_mach, so the budget is eps_mach * sum_k |c_k| B_k * (2.5 * sum of the
-    parts' magnitudes + 5mS + 5(m+1) + 2 + K), without 5mS where L = 0.  Below the normal range eps_mach scales the sum first, and (1 + the
-    terms' summed weights) smallest subnormals cover the rounding onto their
-    grid.  Raises OperatorOverflow when sum_k |c_k| B_k overflows.
-    """
-    return _closed_form_at(_closed_form_setup(u, terms), x)
-
-
 def _closed_form_setup(u: float, terms) -> tuple:
-    """_closed_form's x-free work at u: ln u, and per nonzero term its sign, m,
+    """_closed_form_at's x-free work at u: ln u, and per nonzero term its sign, m,
     ln(u/(u-a)), the parts ln|c|, -m ln u and (m+1) ln(u/(u-a)), their
     magnitudes, and the tilt's rate (u/(u-a)) a, which x multiplies."""
     ln_u = math.log(u)
@@ -199,45 +179,97 @@ def _closed_form_setup(u: float, terms) -> tuple:
     return ln_u, heads, len(terms)
 
 
-def _closed_form_at(setup: tuple, x: float) -> tuple[float, float]:
-    """_closed_form at x from its setup at u, in the same operations."""
+def _log_partial_moment_sum(m: int, ln_l: float, j_max: int) -> tuple[float, float, float]:
+    """moments._log_moment_sum's sum cut after j = J, as ln sum_{j<=J} p_j(L) (j+1)...(j+m),
+    p_j(L) = e^{-L} L^j/j! (log_weights at mean L); J -> inf gives sum_l A_m[l] L^l.
+    Also its slope in ln L, the terms' mean |j - L|, and its own rounding in
+    eps_mach: the terms' mean of 2(|ln p_j| + j + L), the parts log_weights'
+    deviance cancels, (m + 1) sum_i ln(j+i) and |ln t_j - top|, plus log2(J + 1),
+    4 and the slope (for exp(ln L)).  Raises OperatorOverflow where L overflows."""
+    if ln_l > _LN_DBL_MAX:
+        raise OperatorOverflow(f"L = u^2 x/(u-a) = e^{ln_l:.6g} overflows")
+    lam = math.exp(ln_l)
+    j = np.arange(0.0, j_max + 1.0)
+    lw = log_weights(1.0, lam, j)
+    j, lw = j[lw > -math.inf], lw[lw > -math.inf]  # at L = 0 only j = 0 carries weight
+    lint = sum(np.log(j + i) for i in range(1, m + 1))
+    t = lw + lint
+    top = t.max()
+    w = np.exp(t - top)
+    total = float(w.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf slack is refused by the caller
+        own = float(w @ (2.0 * (np.abs(lw) + j + lam) + (m + 1) * lint + np.abs(t - top)))
+        slope = float(w @ np.abs(j - lam)) / total
+    return float(top) + math.log(total), slope, own / total + math.log2(j_max + 1) + 4.0 + slope
+
+
+def _closed_form_at(setup: tuple, x: float, j_max: int | None = None) -> tuple:
+    """sum_k c_k B(t^m_k e^{a_k t}; x), its rounding budget and sum_k |c_k| B_k,
+    at x from the setup at u (_closed_form_setup), so a table column sets up once.
+
+    Each term is exp of the parts ln|c| - m ln u + (m+1) ln(u/(u-a)) + the
+    tilt (u/(u-a)) a x + P, P = moments._log_moment_sum of ln L = ln u + ln x
+    + ln(u/(u-a)), so nothing overflows while the sum is finite.  With each
+    operation, log and exp off by at most eps_mach relative, the first four
+    parts are off by at most 2 eps_mach times their magnitude plus (m+1)
+    eps_mach; ln L by eps_mach (2S + 1), S = |ln u| + |ln x| + |ln(u/(u-a))|;
+    P by eps_mach (2P + 2.5(m+1) + 3mS) plus m times ln L's error (P's
+    derivative in ln L is its mean power, at most m; where L = 0 it is 0); the
+    exactly rounded sum by half an eps_mach of the parts' magnitudes.  exp
+    turns this into a relative error, and joining K terms adds (2 + K)
+    eps_mach, so the budget is eps_mach * sum_k |c_k| B_k * (2.5 * sum of the
+    parts' magnitudes + 5mS + 5(m+1) + 2 + K), without 5mS where L = 0.
+    Below the normal range eps_mach scales the sum first, and (1 + the terms'
+    summed weights) smallest subnormals cover the rounding onto their grid.
+
+    With j_max, the same for the series cut after j = J,
+
+        B_J(t^m e^{at}; x) = u (u-a)^{-(m+1)} e^{uax/(u-a)} sum_{j<=J} (j+1)...(j+m) p_j(L),
+
+    p_j(L) = e^{-L} L^j/j!: P becomes _log_partial_moment_sum, whose
+    slope in ln L takes m's place in the budget and whose own rounding adds to
+    it.  Raises OperatorOverflow where the value, its budget or a cut series'
+    L leaves the double range.
+    """
     ln_u, heads, n_terms = setup
     logs, signs, conds = [], [], []
     ln_x = math.log(x) if x else -math.inf
     for sign, m, ln_ratio, p_c, p_u, p_ratio, a_c, a_u, a_ratio, rate in heads:
         ln_l = ln_u + ln_x + ln_ratio
-        tilt, p_sum = rate * x, _log_moment_sum(m, ln_l)
+        p_sum, slope, own = ((_log_moment_sum(m, ln_l), m, 0.0) if j_max is None
+                             else _log_partial_moment_sum(m, ln_l, j_max))
+        tilt = rate * x
         logs.append(math.fsum((p_c, p_u, p_ratio, tilt, p_sum)))
         signs.append(sign)
-        drift = 5.0 * m * (abs(ln_u) + abs(ln_x) + abs(ln_ratio)) if ln_l > -math.inf else 0.0
+        drift = 5.0 * slope * (abs(ln_u) + abs(ln_x) + abs(ln_ratio)) if ln_l > -math.inf else 0.0
         conds.append(2.5 * sum((a_c, a_u, a_ratio, abs(tilt), abs(p_sum))) + drift
-                     + 5.0 * (m + 1) + 2.0 + n_terms)
+                     + 5.0 * (m + 1) + 2.0 + n_terms + own)
     if not logs:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     top = max(logs)
     weights = [math.exp(lg - top) for lg in logs]
-    log_scale = top + math.log(sum(weights))
+    total = sum(weights)
+    log_scale = top + math.log(total)
     big = math.exp(top) if log_scale <= _LN_DBL_MAX else math.inf
     value = big * sum(map(mul, signs, weights))
-    if not math.isfinite(value):
-        raise OperatorOverflow(
-            f"operator value overflows: ln sum|c_k| B_k = {log_scale:.6g}"
-        )
     cond = sum(map(mul, weights, conds))
-    if big >= _DBL_MIN:
-        return value, _EPS * big * cond
-    return value, big * (_EPS * cond) + math.ulp(0.0) * (1.0 + sum(weights))
+    budget = (_EPS * big * cond if big >= _DBL_MIN  # below DBL_MIN: eps first, a subnormal floor
+              else big * (_EPS * cond) + math.ulp(0.0) * (1.0 + total))
+    if not (math.isfinite(value) and math.isfinite(budget)):
+        raise OperatorOverflow(f"operator value overflows or loses its budget: "
+                               f"ln sum|c_k| B_k = {log_scale:.6g}, rounding budget {budget:.6g}")
+    return value, budget, big * total
 
 
 def _closed_form_grid(u, xs: np.ndarray, terms) -> np.ndarray:
-    """_closed_form's value over the 1-d array xs >= 0 and u, one value or an
+    """_closed_form_at's value over the 1-d array xs >= 0 and u, one value or an
     array that broadcasts against xs, such as a column of u.
 
-    The parts are _closed_form's (P by moments._log_moment_sum_grid), added in
-    turn rather than exactly rounded, so a value can differ from _closed_form's
-    in its last bits, within _closed_form's budget at its point, but not from
-    a call with its u alone.  Raises OperatorOverflow, naming (u, x), when
-    sum_k |c_k| B_k exceeds the double range."""
+    The parts are _closed_form_at's (P by moments._log_moment_sum_grid), added
+    in turn rather than exactly rounded, so a value can differ from its value
+    in the last bits, within its budget at the point, but not from a call with
+    its u alone.  Raises OperatorOverflow, naming (u, x), when sum_k |c_k| B_k
+    exceeds the double range."""
     u = np.asarray(u, dtype=np.float64)
     logs, signs = [], []
     # refused below if not finite; ln 0 = -inf at x = 0 and at u/(u-a) = 0
@@ -266,37 +298,6 @@ def _closed_form_grid(u, xs: np.ndarray, terms) -> np.ndarray:
         raise OperatorOverflow(f"operator value overflows at u={at_u}, x={at_x}: "
                                f"ln sum|c_k| B_k = {log_scale.flat[k]:.6g}")
     return value
-
-
-def _partial_sums(u: float, x: float, terms, j_last: int) -> tuple[float, float, float]:
-    """Series cut after j_last for sum_k c_k t^m e^{at}: the value, the same
-    with |c_k| (the majorant), and the majorant's rounding budget.
-
-    A term exp(ln s_j + ln I_j) is off, relative, by at most 2 eps_mach
-    times the summed magnitudes of the parts of its exponent: |ln s_j| and
-    the parts j + ux that cancel inside its Poisson deviance; |ln I_j| and
-    the parts m ln(j+m+1) and (m+1)|ln(u-a)| that can cancel against
-    j ln(u/(u-a)) inside it.  Each term adds m + 4 for its own operations
-    and the pairwise sum log2(J + 1).
-    """
-    j = np.arange(0.0, j_last + 1.0)
-    value = majorant = budget = 0.0
-    with np.errstate(all="ignore"):  # apply_truncated refuses what is not finite
-        lw = log_weights(u, x, j)
-        live = np.isfinite(lw)  # drops underflowed weights, and every j > 0 at x = 0
-        j, lw = j[live], lw[live]
-        slack = 2.0 * (np.abs(lw) + j + u * x)
-        for c, m, a in terms:
-            lint = log_exppoly_integrals(u, m, a, j)
-            t = np.exp(lw + lint)
-            s = float(np.sum(t))
-            value += c * s
-            majorant += abs(c) * s
-            cond = slack + 2.0 * (np.abs(lint) + m * np.log(j + m + 1.0)
-                                  + (m + 1) * abs(math.log(u - a)))
-            own = (m + 4 + math.log2(j_last + 1)) * s
-            budget += abs(c) * (float(np.sum(t * cond)) + own)
-    return u * value, u * majorant, _EPS * u * budget
 
 
 def _blackbox_window(u: float, x: float, a: float, kinks) -> tuple[float, float, list[float]]:
@@ -366,9 +367,9 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
     quadrature of K(x,t) g(t), which evaluates the kernel's array form and
     the black box on all nodes of a refinement round at once.  Raises
     DivergentIntegral when u does not exceed the target's growth rate,
-    OperatorOverflow when the value, or a black box inside its integration
-    window, is beyond the double range, and ConvergenceFailure when a black
-    box is not finite there or its integral does not converge.
+    OperatorOverflow when the value or its budget, or a black box inside its
+    integration window, is beyond the double range, and ConvergenceFailure
+    when a black box is not finite there or its integral does not converge.
     """
     _check_domain(g, u, x)
     terms = exppoly_terms(g)
@@ -377,7 +378,7 @@ def apply(g: TargetFunction, u: float, x: float) -> OperatorValue:
                                                       g.growth_rate, g.kinks))
         budget = 0.0
     else:
-        value, budget = _closed_form(u, x, terms)
+        value, budget, _ = _closed_form_at(_closed_form_setup(u, terms), x)
         inner_err = 0.0
     return OperatorValue(
         value=value,
@@ -413,25 +414,25 @@ def _check_truncation(g: TargetFunction, j_max) -> tuple[tuple, int]:
 def apply_truncated(g: TargetFunction, u: float, x: float, j_max: int) -> OperatorValue:
     """Operator with the series cut after index j_max: the truncation study.
 
-    The series of a structured target is summed with exact inner integrals;
-    a black box, or a J that is not a whole number >= 0, is refused with
-    ValueError.  tail_mass reports the actual neglected Poisson mass, which
-    can be large when j_max sits below the mode ux.  Raises OperatorOverflow
-    when ux, the partial sum or its rounding budget leaves the double range.
+    A structured target takes the closed form with its moment sum cut at
+    j_max (_closed_form_at); a black box, or a J that is not a whole number
+    >= 0, is refused with ValueError.  tail_mass reports the actual neglected
+    Poisson mass, which can be large when j_max sits below the mode ux.
+    Raises OperatorOverflow when L = u^2 x/(u-a), the partial sum or its
+    rounding budget leaves the double range.
     """
     _check_domain(g, u, x)
     terms, j_max = _check_truncation(g, j_max)
-    if u * x == math.inf:  # before log_weights, which refuses it untyped
+    setup = _closed_form_setup(u, terms)
+    try:
+        value, budget, majorant = _closed_form_at(setup, x, j_max)
+    except OperatorOverflow as exc:  # the sum, its budget, or its L = u^2 x/(u-a)
         raise OperatorOverflow(f"partial sum to J={j_max} is not finite at u={u}, x={x}: "
-                               "ux = inf")
-    value, majorant, budget = _partial_sums(u, x, terms, j_max)
-    if not (math.isfinite(value) and math.isfinite(budget)):
-        raise OperatorOverflow(f"partial sum to J={j_max} is not finite at u={u}, x={x}: "
-                               f"{value}, rounding budget {budget}, ux = {u * x}")
+                               f"{exc}") from None
     # the |g|-majorant's closed form minus its partial sum, plus both
     # rounding budgets counted twice (majorant and value)
     try:
-        total, total_budget = _closed_form(u, x, [(abs(c), m, a) for c, m, a in terms])
+        _, total_budget, total = _closed_form_at(setup, x)
         tail_bound = max(total - majorant, 0.0) + 2.0 * (total_budget + budget)
     except OperatorOverflow:
         tail_bound = math.inf

@@ -1,10 +1,9 @@
-"""Integrals of a kernel or a basis function against a target function.
+"""Integrals of a black-box target against the operator's kernel.
 
-Exp-poly targets have gamma-function closed forms for their integrals
-against the basis (log_exppoly_integrals).  Black boxes are integrated
-against the operator's kernel by one adaptive Gauss-Kronrod quadrature
-(kernel_integral) in the offset s = sqrt t - sqrt x, which evaluates them on
-every node of a batch of (u, x) points in one array call per refinement round.
+One adaptive Gauss-Kronrod quadrature (kernel_integral) in the offset
+s = sqrt t - sqrt x evaluates the target on every node of a batch of (u, x)
+points in one array call per refinement round.  Exp-poly targets never come
+here: the operator has their closed forms.
 """
 from __future__ import annotations
 
@@ -62,29 +61,6 @@ class ConvergenceFailure(RuntimeError):
     """A numerical method gave no value: quadrature refinement was exhausted
     without reaching the tolerance, a black box was not finite, or
     kernel_cdf's noncentral chi-square series returned NaN."""
-
-
-def log_exppoly_integrals(u: float, m: int, a: float, j: np.ndarray) -> np.ndarray:
-    """Vectorized ln of the integral of s_{u,j}(t) t^m e^{at} over [0, inf),
-    which is u^j (j+m)! / (j! (u-a)^{j+m+1}), for an index array.
-
-    Written with small-magnitude pieces only: the j! ratio becomes
-    sum_i ln(j+i) and the u^j/(u-a)^j ratio becomes j*ln(u/(u-a)), which
-    preserves ~1e-15 absolute accuracy even at j ~ 1e6 where lgamma
-    differences lose ~1e-8.  ln(u/(u-a)) is log1p(a/(u-a)) for a > 0 and
-    -log1p(-a/u) otherwise, so log1p scales the rounding of its argument by
-    a/u or |a|/(u+|a|), both <= 1; -log1p(-a/u) for a near u would
-    amplify it by u/(u-a).  Raises DivergentIntegral when u <= a.
-    """
-    if u <= a:
-        raise DivergentIntegral(f"integral diverges: u={u} <= rate a={a}")
-    j = np.asarray(j, dtype=np.float64)
-    out = np.zeros_like(j)
-    for i in range(1, m + 1):
-        out += np.log(j + i)
-    log_ratio = math.log1p(a / (u - a)) if a > 0.0 else -math.log1p(-a / u)
-    out += j * log_ratio - (m + 1) * math.log(u - a)
-    return out
 
 
 def _gk21(kernel, g, u: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):

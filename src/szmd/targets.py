@@ -1,8 +1,8 @@
 """Target functions g the operator is applied to.
 
 The one structured form, ExpPolySum, is a sum of c * t^m * e^{a t}; a
-polynomial is the case where every rate a is 0.  It unlocks exact inner
-integrals; anything else goes through BlackBox with a caller-declared
+polynomial is the case where every rate a is 0.  It unlocks the operator's
+closed forms; anything else goes through BlackBox with a caller-declared
 exponential growth rate, which the operator needs to certify integrability.
 
 parse_target reads literals of this grammar, with spaces allowed between parts:
@@ -13,7 +13,7 @@ where coeff is an unsigned decimal (2, .5, 1e-2), a a signed one, m a whole numb
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -27,6 +27,8 @@ class ExpPolySum:
     exponential, so a polynomial evaluates as one."""
 
     terms: tuple[tuple[float, int, float], ...]
+    # the largest rate, taken once: apply reads it on every call
+    growth_rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms = tuple((c, _check_whole(p, "monomial power"), r) for c, p, r in self.terms)
@@ -36,10 +38,7 @@ class ExpPolySum:
                 raise ValueError(f"coefficient must be finite, got {coeff}")
             if not np.isfinite(rate):
                 raise ValueError(f"exponential rate must be finite, got {rate}")
-
-    @property
-    def growth_rate(self) -> float:
-        return max((rate for _, _, rate in self.terms), default=0.0)
+        object.__setattr__(self, "growth_rate", max((r for _, _, r in terms), default=0.0))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)

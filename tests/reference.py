@@ -67,9 +67,17 @@ def far_oracle(terms, u, x):
         return mp.exp(top) * mp.fsum(c * w for c, w in near), log_scale
 
 
+def basis_integral(u, j, m, a, dps=50):
+    """int_0^inf s_{u,j}(t) t^m e^{at} dt = u^j (j+m)!/(j! (u-a)^{j+m+1}), u > a:
+    the inner integral of series term j, at dps digits."""
+    with mp.workdps(dps):
+        u, a = mp.mpf(u), mp.mpf(a)
+        return +(u**j * mp.factorial(j + m) / (mp.factorial(j) * (u - a) ** (j + m + 1)))
+
+
 def partial_sum_oracle(terms, u, x, j_max):
     """sum_k c_k B_J(t^m e^{at}; x) at 50 digits, B_J the series cut after J:
-    u sum_{j<=J} s_j(x) u^j (j+m)!/(j! (u-a)^{j+m+1}), each term from the one
+    u sum_{j<=J} s_j(x) basis_integral(u, j, m, a), each term from the one
     before by the ratio (ux/(j+1)) u(j+m+1)/((j+1)(u-a))."""
     with mp.workdps(50):
         u, x = mp.mpf(u), mp.mpf(x)

@@ -253,6 +253,12 @@ class TestLipSpaceBound:
         assert lip_space_bound(1.0, 1.0, 1.0, 1.0, 1.0, 1e200) == pytest.approx(
             math.sqrt(2.0) * 1e-100, rel=1e-12)
 
+    def test_denominator_underflowing_to_zero_takes_logs(self):
+        # x(x m1 + m2) = 2e-400 underflows to 0 while x > 0 and x m1 + m2 =
+        # 2e-200 > 0: the bound sqrt(2 / 2e-400) = 1e200 is finite
+        assert lip_space_bound(1.0, 1.0, 1e-200, 1.0, 1.0, 1e-200) == pytest.approx(
+            1e200, rel=1e-12)
+
     def test_bound_past_the_double_range_is_refused(self):
         with pytest.raises(OverflowError,
                            match="Lipschitz-space bound overflows at u=1e-150, x=1e-200"):

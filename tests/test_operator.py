@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import sys
@@ -16,7 +17,6 @@ from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
     _apply_grid,
-    _closed_form,
     _closed_form_grid,
     _kernel_values,
     apply,
@@ -144,7 +144,7 @@ class TestClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("a series was summed")
 
-        for name in ("_partial_sums", "tail_mass", "kernel_integral"):
+        for name in ("_log_partial_moment_sum", "tail_mass", "kernel_integral"):
             monkeypatch.setattr(operator, name, refuse)
         apply(X2E2X, 1e6, 2.5)
         kernel_value(1e6, 1.0, 1.001)
@@ -162,7 +162,8 @@ class TestClosedForm:
         # the scalar and the array form of -0.1 t e^{-3.53125 t} differ in
         # their last subnormal bits; the scalar budget covers both and the oracle
         terms = ((-0.1, 1, -3.53125),)
-        value, budget = _closed_form(0.01, 70825.0, terms)
+        op = apply(ExpPolySum(terms), 0.01, 70825.0)
+        value, budget = op.value, op.tail_bound
         values = _closed_form_grid(0.01, np.array([70825.0]), terms)
         want = float(reference.oracle(terms, 0.01, 70825.0)[0])
         assert 0.0 < abs(value) < sys.float_info.min
@@ -228,8 +229,8 @@ class TestClosedFormGrid:
         xs = np.linspace(0.0, 2.5, 126)
         values = _closed_form_grid(u, xs, terms)
         for x, value in zip(xs.tolist(), values):
-            want, want_budget = _closed_form(u, x, terms)
-            assert abs(value - want) <= want_budget
+            want = apply(BUILTIN_TARGETS[name], u, x)
+            assert abs(value - want.value) <= want.tail_bound
 
 
 class TestOverflow:
@@ -238,6 +239,15 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(OperatorOverflow):
                 apply(X2E2X, 3.0, 300.0)
+
+    @pytest.mark.parametrize("u, x, a", [(1e8, 1e300, -1e10), (1e208, 1e100, -1e300)])
+    def test_closed_form_budget_past_the_double_range_is_typed(self, u, x, a):
+        # the tilt (u/(u-a)) a x of e^(at) is ~ -1e308: the value is 0.0, but
+        # 2.5 |tilt| overflows its budget, which read NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflow, match="loses its budget"):
+                apply(ExpPolySum(((1.0, 0, a),)), u, x)
 
     def test_closed_form_grid_overflow_is_typed(self):
         # one overflowing point refuses the whole array
@@ -293,6 +303,23 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(OperatorOverflow, match=re.escape(f"J=50 is not finite at u={u}, x={x}:")):
                 apply_truncated(X2E2X, u, x, 50)
+
+    @pytest.mark.parametrize("k", range(-20, 309, 8))
+    def test_over_the_double_range_is_finite_or_typed(self, k):
+        # one row of the double-range contract: u = 10^k, x from 0 to 1e3 and
+        # J in {0, 50} give a finite value and tail mass, a tail bound that is
+        # not NaN (inf where the majorant overflows), or a typed refusal
+        u = 10.0**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, x, j_max in itertools.product((X2E2X, NEGX3E5X), (0.0, 0.1, 1.0, 2.5, 1e3),
+                                                 (0, 50)):
+                try:
+                    op = apply_truncated(g, u, x, j_max)
+                except (DivergentIntegral, OperatorOverflow):
+                    continue
+                assert math.isfinite(op.value) and math.isfinite(op.tail_mass)
+                assert op.tail_bound >= 0.0
 
     def test_majorant_overflow_leaves_an_infinite_tail_bound(self):
         op = apply_truncated(X2E2X, 3.0, 300.0, 10)

@@ -23,8 +23,9 @@ from szmd.moments import central_moment, raw_moment, zeta_sq
 from szmd.operator import (
     OperatorOverflow,
     SequenceRule,
-    _closed_form,
+    _closed_form_at,
     _closed_form_grid,
+    _closed_form_setup,
     _kernel_values,
     apply,
     apply_truncated,
@@ -157,11 +158,11 @@ def test_closed_form_grid_matches_the_scalar_form(case, spread):
     d = u - max(a for _, _, a in terms)
     xs = np.array([0.0, x, *(f * d / (u * u) for f in (0.5, 1.0, 2.0, *spread))])
     try:
-        want = [_closed_form(u, v, terms) for v in xs.tolist()]
+        want = [apply(ExpPolySum(terms), u, v) for v in xs.tolist()]
     except OperatorOverflow:
         assume(False)
-    for value, (w_value, w_budget) in zip(_closed_form_grid(u, xs, terms), want):
-        assert abs(value - w_value) <= w_budget
+    for value, op in zip(_closed_form_grid(u, xs, terms), want):
+        assert abs(value - op.value) <= op.tail_bound
 
 
 @given(exppoly, st.lists(log_uniform(0.01, 1e6), min_size=1, max_size=3), st.data())
@@ -400,6 +401,27 @@ def test_partial_sum_matches_a_50_digit_series_in_every_regime(case, j_max):
         assume(False)
     want = reference.partial_sum_oracle(terms, u, x, j_max)
     assert abs(got - want) <= 1e-12 * majorant
+
+
+@st.composite
+def truncations(draw):
+    """(terms, u, x, J): 1-3 terms, u from just above the rate to 1e6, x in
+    [0, 100] and J in [0, 500]."""
+    terms, u, _ = draw(regimes())
+    return terms, u, draw(uniform(0.0, 100.0)), draw(st.integers(0, 500))
+
+
+@given(truncations())
+def test_partial_sum_lies_within_its_own_rounding_budget(case):
+    # the value's budget alone, without the majorant's tail: B_J is the closed
+    # form with its moment sum cut at J, and its budget must cover the rounding
+    terms, u, x, j_max = case
+    try:
+        value, budget, _ = _closed_form_at(_closed_form_setup(u, terms), x, j_max)
+    except OverflowError:
+        assume(False)
+    assert value == apply_truncated(ExpPolySum(terms), u, x, j_max).value
+    assert abs(value - reference.partial_sum_oracle(terms, u, x, j_max)) <= budget
 
 
 # ---------------------------------------------------------------------------

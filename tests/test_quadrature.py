@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,23 +15,12 @@ from scipy.special import gammainc, gammaincc
 import szmd
 from szmd import operator
 from szmd.operator import apply, apply_truncated
-from szmd.quadrature import (
-    ConvergenceFailure,
-    DivergentIntegral,
-    _gk21,
-    kernel_integral,
-    log_exppoly_integrals,
-)
+from szmd.quadrature import ConvergenceFailure, DivergentIntegral, _gk21, kernel_integral
 from szmd.targets import BlackBox, ExpPolySum, MonomialSum
 import reference
 
 US = (1e2, 1e4, 1e6)
 XS = (0.0, 0.1, 1.0, 2.5)
-
-
-def _basis_integral(u, j, m, a=0.0):
-    """Integral of s_{u,j}(t) t^m e^{at} over [0, inf)."""
-    return float(np.exp(log_exppoly_integrals(u, m, a, np.array([float(j)]))[0]))
 
 
 def _abs_shift_reference(u, x):
@@ -48,35 +38,60 @@ def _abs_shift_reference(u, x):
 
 
 class TestExactMonomial:
+    """The exact inner integral of a series term, reference.basis_integral,
+    which the 50-digit partial-sum oracle adds up; the library sums the series
+    in the closed form's variable and has no per-term integral."""
+
     def test_normalization_any_index(self):
-        np.testing.assert_allclose(_basis_integral(5.0, 3, 0), 0.2, rtol=1e-14)
+        assert float(reference.basis_integral(5.0, 3, 0, 0.0)) == pytest.approx(0.2, rel=1e-14)
 
     def test_gamma_value(self):
-        np.testing.assert_allclose(_basis_integral(1.0, 0, 2), 2.0, rtol=1e-14)
+        assert float(reference.basis_integral(1.0, 0, 2, 0.0)) == pytest.approx(2.0, rel=1e-14)
 
     def test_factorial_ratio(self):
         # 10! / (7! 10^4)
-        np.testing.assert_allclose(_basis_integral(10.0, 7, 3), 0.072, rtol=1e-13)
+        assert float(reference.basis_integral(10.0, 7, 3, 0.0)) == pytest.approx(0.072, rel=1e-14)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            _basis_integral(-1.0, 0, 0)
+        # u <= 0 is refused before any series term
+        with pytest.raises(ValueError, match="u must be positive"):
+            apply_truncated(MonomialSum(((1.0, 0),)), -1.0, 1.0, 0)
 
 
 class TestExactExpPoly:
     def test_zero_rate_reduces_to_monomial(self):
         for (u, j, m) in [(5.0, 2, 1), (10.0, 0, 3), (3.0, 7, 0)]:
             want = math.factorial(j + m) / (math.factorial(j) * u ** (m + 1))
-            np.testing.assert_allclose(_basis_integral(u, j, m, 0.0), want, rtol=1e-14)
+            got = float(reference.basis_integral(u, j, m, 0.0))
+            assert got == pytest.approx(want, rel=1e-14)
 
     def test_growing_target_value(self):
-        np.testing.assert_allclose(_basis_integral(10.0, 0, 2, 2.0), 2.0 / 8.0**3, rtol=1e-14)
+        got = float(reference.basis_integral(10.0, 0, 2, 2.0))
+        assert got == pytest.approx(2.0 / 8.0**3, rel=1e-14)
+
+    @pytest.mark.parametrize("u, j, m, a",
+                             [(10.0, 7, 3, 2.0), (2.5, 0, 2, 2.0), (15.0, 20, 4, -5.0)])
+    def test_matches_quadrature(self, u, j, m, a):
+        # the gamma closed form against mpmath's quadrature of the integrand
+        with mp.workdps(30):
+            got = mp.quad(lambda t: (u * t) ** j * mp.exp(-u * t) / mp.factorial(j)
+                          * t**m * mp.exp(a * t), [0, (j + m + 1) / (u - a), mp.inf])
+        assert float(reference.basis_integral(u, j, m, a)) == pytest.approx(float(got), rel=1e-14)
+
+    @pytest.mark.parametrize("u, x, m, a, j", [(15.0, 1.0, 3, -5.0, 15), (2.25, 2.5, 2, 2.0, 10)])
+    def test_the_oracle_adds_the_exact_integrals(self, u, x, m, a, j):
+        # u x is exact in doubles, so both sides see the same Poisson mean
+        step = (reference.partial_sum_oracle(((1.0, m, a),), u, x, j)
+                - reference.partial_sum_oracle(((1.0, m, a),), u, x, j - 1))
+        want = u * reference.poisson_weight(u * x, j, dps=50) * reference.basis_integral(u, j, m, a)
+        assert abs(step - want) <= 1e-40 * abs(want)
 
     def test_divergence_at_boundary(self):
+        # u <= a is refused before any series term
         with pytest.raises(DivergentIntegral):
-            _basis_integral(2.0, 1, 0, 2.0)
+            apply_truncated(ExpPolySum(((1.0, 0, 2.0),)), 2.0, 1.0, 1)
         with pytest.raises(DivergentIntegral):
-            _basis_integral(1.0, 0, 0, 5.0)
+            apply_truncated(ExpPolySum(((1.0, 0, 5.0),)), 1.0, 1.0, 0)
 
 
 class TestNumericIntegral:

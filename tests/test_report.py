@@ -242,13 +242,13 @@ class TestCurves:
             shapes.append(np.broadcast(u, xs).shape)
             return closed_form_grid(u, xs, terms)
 
-        def counting_point(u, x, terms):
+        def counting_point(setup, x, j_max=None):
             points.append(x)
-            return closed_form(u, x, terms)
+            return closed_form_at(setup, x, j_max)
 
-        closed_form_grid, closed_form = operator._closed_form_grid, operator._closed_form
+        closed_form_grid, closed_form_at = operator._closed_form_grid, operator._closed_form_at
         monkeypatch.setattr(operator, "_closed_form_grid", counting_grid)
-        monkeypatch.setattr(operator, "_closed_form", counting_point)
+        monkeypatch.setattr(operator, "_closed_form_at", counting_point)
         make_curves(NEGX3E5X, [15.0, 35.0, 50.0], np.linspace(0.0, 2.5, 126))
         assert shapes == [(3, 126)]  # one call over all 378 (u, x) points
         assert points == []

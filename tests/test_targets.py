@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,16 @@ class TestEvaluation:
         assert BUILTIN_TARGETS["negx3e5x"].growth_rate == -5.0
         assert BUILTIN_TARGETS["t2"].growth_rate == 0.0
         assert BlackBox(lambda t: t, growth_rate=1.5).growth_rate == 1.5
+
+    def test_growth_rate_is_taken_once_and_outside_equality(self):
+        # a field set at construction: equal terms are equal and hash alike,
+        # the repr shows the terms alone, and the rate cannot be reassigned
+        g, h = ExpPolySum(((1.0, 2, 2.0), (3.0, 0, -1.0))), parse_target("t^2*exp(2t) + 3*exp(-1t)")
+        assert g == h and hash(g) == hash(h) and g.growth_rate == 2.0
+        assert repr(g) == "ExpPolySum(terms=((1.0, 2, 2.0), (3.0, 0, -1.0)))"
+        assert ExpPolySum(()).growth_rate == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.growth_rate = 5.0
 
 
 class TestParsing:
